@@ -44,7 +44,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use xpathkit::{PathExpr, QueryClass, QueryPlan};
 use xseed_bench::report::json_throughput_entry;
-use xseed_core::{SynopsisSnapshot, XseedConfig, XseedSynopsis};
+use xseed_core::{Mode, SynopsisSnapshot, XseedConfig, XseedSynopsis};
 use xseed_service::{Catalog, ServerConfig, Service, ServiceConfig, ServiceError, TcpServer};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -156,19 +156,21 @@ fn compiled_off_pass(snapshot: &SynopsisSnapshot, exprs: &[PathExpr]) -> usize {
     let mut matcher = snapshot.matcher_for_batch(exprs.len());
     let mut sink = 0.0;
     for expr in exprs {
-        sink += matcher.estimate(expr);
+        sink += matcher.estimate(expr, None, Mode::Point).estimate;
     }
     std::hint::black_box(sink);
     exprs.len()
 }
 
-/// Batched pass through `estimate_plan` — the compiled-cache-**on** shape:
+/// Batched pass keyed by plan id — the compiled-cache-**on** shape:
 /// after the warm-up pass every estimate is a compiled-cache hit.
 fn compiled_on_pass(snapshot: &SynopsisSnapshot, plans: &[Arc<QueryPlan>]) -> usize {
     let mut matcher = snapshot.matcher_for_batch(plans.len());
     let mut sink = 0.0;
     for plan in plans {
-        sink += matcher.estimate_plan(plan);
+        sink += matcher
+            .estimate(plan.expr(), Some(plan.id()), Mode::Point)
+            .estimate;
     }
     std::hint::black_box(sink);
     plans.len()

@@ -17,7 +17,7 @@ use datagen::{Dataset, WorkloadGenerator, WorkloadSpec};
 use std::time::Instant;
 use xpathkit::ast::PathExpr;
 use xseed_bench::report::json_throughput_entry;
-use xseed_core::{ExpandedPathTree, Matcher, XseedConfig, XseedSynopsis};
+use xseed_core::{ExpandedPathTree, Matcher, Mode, XseedConfig, XseedSynopsis};
 
 struct Scenario {
     name: &'static str,
@@ -159,12 +159,12 @@ fn throughput_benches(c: &mut Criterion) {
         };
         let batched_stream = {
             let mut matcher = s.streaming_matcher();
-            time_per_estimate(qs, |q| matcher.estimate(q))
+            time_per_estimate(qs, |q| matcher.estimate(q, None, Mode::Point).estimate)
         };
         let batched_memo = {
-            let mut matcher = s.streaming_matcher();
-            matcher.enable_batch_memo();
-            time_per_estimate(qs, |q| matcher.estimate(q))
+            let snapshot = s.snapshot();
+            let mut matcher = snapshot.matcher_for_batch(qs.len());
+            time_per_estimate(qs, |q| matcher.estimate(q, None, Mode::Point).estimate)
         };
         println!(
             "{}: {} queries | regen {:.0} ns | streaming {:.0} ns ({:.1}x) | \

@@ -4,15 +4,15 @@
 //! For every scenario of the accuracy regression suite (same datasets,
 //! scales, seed, and `WorkloadSpec::small()` as `tests/accuracy.rs`, so
 //! the graded queries are exactly the golden-fixture queries) this bench
-//! runs both estimation modes — the point estimate and
-//! [`xseed_core::StreamingMatcher::estimate_bound`] — against the NoK
-//! ground truth, grades each with
-//! [`xseed_service::q_error_milli`] into a
-//! [`xseed_service::HistogramSnapshot`], and reports the p50/p90/p99
-//! milli-q percentiles per workload and mode. The histograms use the
-//! same deterministic power-of-two bucket edges as the service's online
-//! `METRICS qerr` tracking (PR 7), so offline matrix cells and online
-//! gauge readings are directly comparable.
+//! runs both estimation modes of [`xseed_core::StreamingMatcher::estimate`]
+//! ([`xseed_core::Mode::Bound`] reports the point estimate and the bound
+//! together) against the NoK ground truth, grades each query with
+//! [`xseed_service::q_error_milli`] (milli-q resolution), and reports the
+//! exact nearest-rank p50/p90/p99 and the true maximum per workload and
+//! mode. These are exact order statistics of the graded queries, not the
+//! power-of-two bucket edges the service's online `METRICS qerr`
+//! histograms report, so a matrix cell can be finer than the online gauge
+//! reading of the same queries.
 //!
 //! Soundness is enforced, not just measured: any query whose bound falls
 //! below the true cardinality (or below its own point estimate) panics
@@ -24,8 +24,8 @@
 
 use datagen::{Dataset, WorkloadGenerator, WorkloadSpec};
 use nokstore::{Evaluator, NokStorage};
-use xseed_core::{XseedConfig, XseedSynopsis};
-use xseed_service::{format_milli_q, q_error_milli, HistogramSnapshot};
+use xseed_core::{Mode, XseedConfig, XseedSynopsis};
+use xseed_service::{format_milli_q, q_error_milli};
 
 /// Workload seed — must match `tests/accuracy.rs` so the matrix grades
 /// the same queries the committed goldens pin.
@@ -77,23 +77,26 @@ const SCENARIOS: [Scenario; 6] = [
     },
 ];
 
-/// One graded mode: the milli-q histogram plus the worst observed ratio.
+/// One graded mode: every query's q-error in milli-q.
 #[derive(Default)]
 struct ModeGrades {
-    hist: HistogramSnapshot,
+    milli_q: Vec<u64>,
 }
 
 impl ModeGrades {
     fn grade(&mut self, estimated: f64, actual: u64) {
-        self.hist.record(q_error_milli(estimated, actual));
+        self.milli_q.push(q_error_milli(estimated, actual));
     }
 
-    fn percentiles(&self) -> (u64, u64, u64) {
-        (
-            self.hist.percentile(0.5),
-            self.hist.percentile(0.9),
-            self.hist.percentile(0.99),
-        )
+    /// The exact nearest-rank p50, p90 and p99 (for each `p`, the
+    /// smallest graded value with at least `p` of all values at or below
+    /// it) and the maximum. Every scenario grades at least one query.
+    fn summary(&self) -> (u64, u64, u64, u64) {
+        let mut sorted = self.milli_q.clone();
+        sorted.sort_unstable();
+        let n = sorted.len();
+        let rank = |p: f64| sorted[((p * n as f64).ceil() as usize).clamp(1, n) - 1];
+        (rank(0.5), rank(0.9), rank(0.99), sorted[n - 1])
     }
 }
 
@@ -123,24 +126,25 @@ fn grade_scenario(scenario: &Scenario) -> Row {
     let mut queries = 0usize;
     for query in workload.all() {
         let actual = eval.count(query);
-        let be = matcher.estimate_bound(query);
+        let be = matcher.estimate(query, None, Mode::Bound);
+        let upper = be.bound.expect("bound mode reports a bound");
         // Soundness is the contract: a violated bound fails the bench
         // loudly rather than producing a quietly wrong matrix.
         assert!(
-            be.bound + 1e-9 >= actual as f64,
+            upper + 1e-9 >= actual as f64,
             "{}: {query}: bound {} < true cardinality {actual}",
             scenario.name,
-            be.bound,
+            upper,
         );
         assert!(
-            be.bound + 1e-9 >= be.estimate,
+            upper + 1e-9 >= be.estimate,
             "{}: {query}: bound {} < point estimate {}",
             scenario.name,
-            be.bound,
+            upper,
             be.estimate,
         );
         point.grade(be.estimate, actual);
-        bound.grade(be.bound, actual);
+        bound.grade(upper, actual);
         queries += 1;
     }
     Row {
@@ -152,13 +156,13 @@ fn grade_scenario(scenario: &Scenario) -> Row {
 }
 
 fn mode_json(grades: &ModeGrades) -> String {
-    let (p50, p90, p99) = grades.percentiles();
+    let (p50, p90, p99, max) = grades.summary();
     format!(
         "{{ \"qerr_p50\": {}, \"qerr_p90\": {}, \"qerr_p99\": {}, \"qerr_max\": {} }}",
         format_milli_q(p50),
         format_milli_q(p90),
         format_milli_q(p99),
-        format_milli_q(grades.hist.max()),
+        format_milli_q(max),
     )
 }
 
@@ -190,8 +194,8 @@ fn main() {
 
     for scenario in scenarios {
         let row = grade_scenario(scenario);
-        let (pp50, pp90, pp99) = row.point.percentiles();
-        let (bp50, bp90, bp99) = row.bound.percentiles();
+        let (pp50, pp90, pp99, _) = row.point.summary();
+        let (bp50, bp90, bp99, _) = row.bound.summary();
         println!(
             "qerr_matrix/{name}: queries={n} \
              point p50={pp50} p90={pp90} p99={pp99} \

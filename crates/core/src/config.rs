@@ -35,8 +35,9 @@ pub struct XseedConfig {
     /// mid-walk.
     pub max_ept_nodes: usize,
     /// Capacity (in compiled queries) of the per-snapshot compiled-query
-    /// cache serving [`crate::estimate::StreamingMatcher::estimate_plan`].
-    /// A serving-layer knob rather than an estimator parameter: size it to
+    /// cache serving plan-keyed
+    /// [`crate::estimate::StreamingMatcher::estimate`] calls. A
+    /// serving-layer knob rather than an estimator parameter: size it to
     /// the distinct-query working set of the workload (each entry is a
     /// few hundred bytes). The cache is created lazily, so synopses never
     /// used through cached plans pay nothing.

@@ -27,7 +27,7 @@ pub use ept::{EptNode, ExpandedPathTree};
 pub use event::EstimateEvent;
 pub use matcher::Matcher;
 pub use streaming::{
-    BoundedEstimate, CompiledCacheStats, CompiledPlanCache, CompiledQuery, FrontierMemo,
+    CompiledCacheStats, CompiledPlanCache, CompiledQuery, FrontierMemo, Mode, Outcome,
     StreamingMatcher,
 };
 pub use traveler::Traveler;

@@ -51,9 +51,8 @@
 //! evaluation is pending, which would need the full subtree — the subtree
 //! is skipped wholesale. Skipping never changes the estimate (the skipped
 //! region cannot produce a result match), but it does mean the node count
-//! reported by [`StreamingMatcher::estimate_with_stats`] is the number of
-//! nodes *visited*, a lower bound on the materialized EPT size. The
-//! expansion being pruned is always the full one under the snapshot's
+//! reported in [`Outcome::visited`] is the number of nodes *visited*, a
+//! lower bound on the materialized EPT size. The expansion being pruned is always the full one under the snapshot's
 //! effective cardinality threshold — never a walk cut short mid-stride —
 //! so the streaming, memoized, and materialized paths share one frontier
 //! on every synopsis, degenerate ones included.
@@ -73,7 +72,6 @@ use std::time::{Duration, Instant};
 use xmlkit::names::{LabelId, NameTable};
 use xpathkit::ast::{Axis, NodeTest, PathExpr};
 use xpathkit::query_tree::{QtnId, QueryTree};
-use xpathkit::QueryPlan;
 
 /// A resolved node test: wildcard, a concrete label, or a name absent from
 /// the document.
@@ -134,7 +132,7 @@ struct SpineStep {
 /// [`crate::synopsis::SynopsisSnapshot`]: an epoch bump publishes a fresh
 /// snapshot with a fresh (empty) cache, so invalidation needs no extra
 /// machinery. The struct is opaque; obtain one through
-/// [`StreamingMatcher::estimate_plan`] or the cache.
+/// [`StreamingMatcher::estimate`] or the cache.
 #[derive(Debug)]
 pub struct CompiledQuery {
     spine: Vec<SpineStep>,
@@ -155,21 +153,41 @@ impl CompiledQuery {
     }
 }
 
-/// A point estimate paired with a guaranteed upper bound on the true
-/// result cardinality.
-///
-/// The bound comes from [`StreamingMatcher::estimate_bound`]'s
-/// max-out-degree propagation (see that method's docs): it is a *sound*
-/// pessimistic cardinality — the true count never exceeds it — while the
-/// point estimate is the usual average-fanout product, which can under- or
-/// overshoot. By construction `bound >= estimate` always holds.
+/// How [`StreamingMatcher::estimate`] aggregates its traversal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Mode {
+    /// The point estimate: Algorithm 3's average-fanout product.
+    #[default]
+    Point,
+    /// The point estimate plus a guaranteed upper bound on the true
+    /// cardinality (see [`Outcome::bound`]).
+    Bound,
+}
+
+/// What one [`StreamingMatcher::estimate`] call produced.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoundedEstimate {
-    /// The point estimate ([`StreamingMatcher::estimate`]).
+pub struct Outcome {
+    /// The point estimate.
     pub estimate: f64,
-    /// A guaranteed upper bound on the true result cardinality, never
-    /// below `estimate`.
-    pub bound: f64,
+    /// In [`Mode::Bound`], a sound upper bound on the true result
+    /// cardinality, never below `estimate`: max-out-degree frontier
+    /// propagation over the synopsis graph — worst-case fan-out instead
+    /// of average fan-out, exact per-label node totals as clamps,
+    /// predicates ignored (they only filter), and the point path's
+    /// cardinality-threshold pruning (including its `max_ept_nodes`
+    /// escalation) deliberately *not* applied, since pruning drops mass.
+    /// HET entries clamp the bound downwards only — their simple-path
+    /// cardinalities are exact counts — and never inflate it. `None` in
+    /// [`Mode::Point`].
+    pub bound: Option<f64>,
+    /// Expanded-path-tree nodes the traversal visited: a lower bound on
+    /// the materialized EPT size, thanks to reachability pruning, and 0
+    /// when the HET or an empty kernel answered without a traversal.
+    pub visited: usize,
+    /// How long label resolution took, `Some` only when this call
+    /// compiled the query (a compiled-cache miss, or any expression-keyed
+    /// call).
+    pub compile_time: Option<Duration>,
 }
 
 /// The rooted-label-path identity of a bound-propagation frontier entry:
@@ -378,7 +396,7 @@ struct CachedCompiled {
 }
 
 /// A per-snapshot cache of label-resolved [`CompiledQuery`]s, keyed by
-/// [`QueryPlan::id`] — plan-cache hits skip recompilation entirely.
+/// [`xpathkit::QueryPlan::id`] — plan-cache hits skip recompilation entirely.
 ///
 /// Sharded by plan id with per-shard mutexes and tick-stamped LRU
 /// eviction, mirroring the service-layer plan cache: concurrent workers
@@ -544,8 +562,8 @@ pub struct StreamingMatcher<'a> {
     /// When set, estimates replay the memoized expansion instead of
     /// re-deriving footprints per node (see [`FrontierMemo`]).
     memo: Option<Arc<FrontierMemo>>,
-    /// When set, [`StreamingMatcher::estimate_plan`] reuses compiled
-    /// queries across estimates (see [`CompiledPlanCache`]).
+    /// When set, plan-keyed [`StreamingMatcher::estimate`] calls reuse
+    /// compiled queries across estimates (see [`CompiledPlanCache`]).
     compiled_cache: Option<Arc<CompiledPlanCache>>,
 }
 
@@ -586,17 +604,6 @@ impl<'a> StreamingMatcher<'a> {
         }
     }
 
-    /// Switches the matcher to batched (memoized) mode: the traveler's
-    /// expansion is recorded once and every subsequent estimate replays it.
-    /// Worth it from the second query of a batch onwards; a no-op when a
-    /// memo is already installed.
-    pub fn enable_batch_memo(&mut self) {
-        if self.memo.is_none() {
-            let memo = self.build_memo_nodes();
-            self.memo = Some(Arc::new(memo));
-        }
-    }
-
     /// Installs a pre-built (possibly shared) frontier memo.
     ///
     /// The memo must have been built from the same frozen snapshot,
@@ -605,147 +612,81 @@ impl<'a> StreamingMatcher<'a> {
     /// contract** — only the snapshot's vertex and slot counts are
     /// sanity-checked (in debug builds), which cannot catch e.g. a config
     /// or HET that differs over an identically shaped graph. Obtaining
-    /// matchers through [`crate::synopsis::SynopsisSnapshot::batch_matcher`]
+    /// matchers through [`crate::synopsis::SynopsisSnapshot::matcher_for_batch`]
     /// upholds the contract by construction (one bundle owns both).
-    pub fn set_frontier_memo(&mut self, memo: Arc<FrontierMemo>) {
+    pub(crate) fn set_frontier_memo(&mut self, memo: Arc<FrontierMemo>) {
         debug_assert_eq!(memo.vertex_count, self.frozen.vertex_count());
         debug_assert_eq!(memo.slot_count, self.frozen.slot_count());
         self.memo = Some(memo);
     }
 
     /// Installs a shared per-snapshot compiled-query cache consulted by
-    /// [`StreamingMatcher::estimate_plan`]. The cache must hold queries
+    /// plan-keyed [`StreamingMatcher::estimate`] calls. The cache must hold queries
     /// compiled against the same snapshot (frozen kernel + name table)
     /// this matcher was created over — the same caller's contract as
     /// [`StreamingMatcher::set_frontier_memo`], upheld by construction
     /// when matchers come from
     /// [`crate::synopsis::SynopsisSnapshot::matcher`].
-    pub fn set_compiled_cache(&mut self, cache: Arc<CompiledPlanCache>) {
+    pub(crate) fn set_compiled_cache(&mut self, cache: Arc<CompiledPlanCache>) {
         self.compiled_cache = Some(cache);
     }
 
-    /// Estimates the cardinality of a path expression.
-    pub fn estimate(&mut self, expr: &PathExpr) -> f64 {
-        self.estimate_with_stats(expr).0
-    }
-
-    /// Estimates a cached [`QueryPlan`], reusing its compiled
-    /// (label-resolved) form across calls when a [`CompiledPlanCache`] is
-    /// installed — the service hot path: a plan-cache hit then skips both
-    /// the parse *and* the compilation. Without a cache this is equivalent
-    /// to `estimate(plan.expr())`.
-    pub fn estimate_plan(&mut self, plan: &QueryPlan) -> f64 {
-        self.estimate_plan_with_stats(plan).0
-    }
-
-    /// [`StreamingMatcher::estimate_plan`] with the visited-node count of
-    /// [`StreamingMatcher::estimate_with_stats`].
-    pub fn estimate_plan_with_stats(&mut self, plan: &QueryPlan) -> (f64, usize) {
-        if let Some(answer) = self.answer_without_traversal(plan.expr()) {
-            return answer;
-        }
-        match self.compiled_cache.clone() {
-            Some(cache) => {
-                let compiled = cache.get_or_compile(plan.id(), || self.compile(plan.expr()));
-                self.run_compiled(&compiled)
-            }
-            None => {
-                let query = self.compile(plan.expr());
-                self.run_compiled(&query)
-            }
-        }
-    }
-
-    /// [`StreamingMatcher::estimate_plan`], additionally reporting how
-    /// long label resolution + NFA compilation took **when this call
-    /// compiled the plan**: `None` on compiled-cache hits and
-    /// pre-traversal answers (HET fast path / empty kernel). The timing
-    /// is captured inside the cache's miss closure, so instrumented
-    /// callers can attribute compilation separately from the estimate
-    /// without a second cache round-trip (which would perturb the very
-    /// hit/miss counters they report).
-    pub fn estimate_plan_timed(&mut self, plan: &QueryPlan) -> (f64, Option<Duration>) {
-        if let Some((answer, _)) = self.answer_without_traversal(plan.expr()) {
-            return (answer, None);
+    /// Estimates the cardinality of a path expression — the one entry
+    /// point of the streaming estimator.
+    ///
+    /// `plan` is the [`xpathkit::QueryPlan::id`] the expression came
+    /// from, if any. A plan-keyed call compiles through the installed
+    /// [`CompiledPlanCache`] with exactly one lookup (none when the HET or
+    /// an empty kernel answers a [`Mode::Point`] query outright). An
+    /// expression-keyed call (`None`), or any call without a cache,
+    /// compiles afresh and never touches the cache. `mode` picks the
+    /// aggregation; both modes share the compiled query.
+    pub fn estimate(&mut self, expr: &PathExpr, plan: Option<u64>, mode: Mode) -> Outcome {
+        let answered = self.answer_without_traversal(expr);
+        if let (Mode::Point, Some((estimate, visited))) = (mode, answered) {
+            return Outcome {
+                estimate,
+                bound: None,
+                visited,
+                compile_time: None,
+            };
         }
         let mut compile_time = None;
-        let estimate = match self.compiled_cache.clone() {
-            Some(cache) => {
-                let compiled = cache.get_or_compile(plan.id(), || {
-                    let started = Instant::now();
-                    let compiled = self.compile(plan.expr());
-                    compile_time = Some(started.elapsed());
-                    compiled
-                });
-                self.run_compiled(&compiled).0
+        let mut compile = || {
+            let started = Instant::now();
+            let query = self.compile(expr);
+            compile_time = Some(started.elapsed());
+            query
+        };
+        let (cached, owned);
+        let query: &CompiledQuery = match (plan, &self.compiled_cache) {
+            (Some(id), Some(cache)) => {
+                cached = cache.get_or_compile(id, compile);
+                &cached
             }
-            None => {
-                let started = Instant::now();
-                let query = self.compile(plan.expr());
-                compile_time = Some(started.elapsed());
-                self.run_compiled(&query).0
+            _ => {
+                owned = compile();
+                &owned
             }
         };
-        (estimate, compile_time)
-    }
-
-    /// Estimates a path expression in **bound mode**: the usual point
-    /// estimate paired with a guaranteed upper bound on the true result
-    /// cardinality.
-    ///
-    /// The bound is computed by `compute_bound`'s max-out-degree
-    /// frontier propagation over the synopsis graph —
-    /// worst-case fan-out instead of average fan-out, exact per-label node
-    /// totals as clamps, predicates ignored (they only filter), and the
-    /// point path's cardinality-threshold pruning (including its
-    /// `max_ept_nodes` escalation) deliberately *not* applied (pruning
-    /// drops mass, which would break the guarantee). HET entries clamp the bound downwards only — their
-    /// simple-path cardinalities are exact counts — and never inflate it.
-    /// `bound >= estimate` holds by construction.
-    pub fn estimate_bound(&mut self, expr: &PathExpr) -> BoundedEstimate {
-        let estimate = self.estimate(expr);
-        let query = self.compile(expr);
-        let raw = self.compute_bound(&query) as f64;
-        BoundedEstimate {
-            estimate,
-            bound: raw.max(estimate),
-        }
-    }
-
-    /// [`StreamingMatcher::estimate_bound`] over a cached [`QueryPlan`],
-    /// sharing the compiled form with the point path when a
-    /// [`CompiledPlanCache`] is installed.
-    pub fn estimate_plan_bound(&mut self, plan: &QueryPlan) -> BoundedEstimate {
-        let estimate = self.estimate_plan(plan);
-        let raw = match self.compiled_cache.clone() {
-            Some(cache) => {
-                let compiled = cache.get_or_compile(plan.id(), || self.compile(plan.expr()));
-                self.compute_bound(&compiled)
-            }
-            None => {
-                let query = self.compile(plan.expr());
-                self.compute_bound(&query)
-            }
+        let (estimate, visited) = match answered {
+            Some(answer) => answer,
+            None => self.run_compiled(query),
         };
-        BoundedEstimate {
+        let bound = match mode {
+            Mode::Point => None,
+            Mode::Bound => Some((self.compute_bound(query) as f64).max(estimate)),
+        };
+        Outcome {
             estimate,
-            bound: (raw as f64).max(estimate),
+            bound,
+            visited,
+            compile_time,
         }
     }
 
-    /// Estimates the cardinality, also reporting the number of EPT nodes
-    /// *visited* by the streamed traversal (a lower bound on the
-    /// materialized EPT size, thanks to reachability pruning).
-    pub fn estimate_with_stats(&mut self, expr: &PathExpr) -> (f64, usize) {
-        if let Some(answer) = self.answer_without_traversal(expr) {
-            return answer;
-        }
-        let query = self.compile(expr);
-        self.run_compiled(&query)
-    }
-
-    /// The pre-traversal answers shared by the expression and plan entry
-    /// points: the Section 5 HET fast path (a simple path resident in the
+    /// The answers [`StreamingMatcher::estimate`] gives without a
+    /// traversal: the Section 5 HET fast path (a simple path resident in the
     /// table is answered exactly, identical to `Matcher::estimate`) and
     /// the empty-kernel case.
     fn answer_without_traversal(&self, expr: &PathExpr) -> Option<(f64, usize)> {
@@ -1918,7 +1859,24 @@ mod tests {
     use crate::het::hash::path_hash;
     use crate::kernel::{Kernel, KernelBuilder};
     use xmlkit::samples::{figure2_document, figure4_document};
-    use xpathkit::parse;
+    use xpathkit::{parse, QueryPlan};
+
+    /// Expression-keyed shorthands over [`StreamingMatcher::estimate`].
+    trait Shorthand {
+        fn point(&mut self, expr: &PathExpr) -> f64;
+        fn bounded(&mut self, expr: &PathExpr) -> (f64, f64);
+    }
+
+    impl Shorthand for StreamingMatcher<'_> {
+        fn point(&mut self, expr: &PathExpr) -> f64 {
+            self.estimate(expr, None, Mode::Point).estimate
+        }
+
+        fn bounded(&mut self, expr: &PathExpr) -> (f64, f64) {
+            let out = self.estimate(expr, None, Mode::Bound);
+            (out.estimate, out.bound.expect("bound mode reports a bound"))
+        }
+    }
 
     fn assert_matches_materialized(
         kernel: &Kernel,
@@ -1941,7 +1899,7 @@ mod tests {
         for q in queries {
             let expr = parse(q).unwrap();
             let expected = matcher.estimate(&expr);
-            let got = streaming.estimate(&expr);
+            let got = streaming.point(&expr);
             assert!(
                 (expected - got).abs() < 1e-9,
                 "{q}: streaming {got} != materialized {expected}"
@@ -2036,7 +1994,7 @@ mod tests {
             ("/a/c/s[t][s]/p", 1.44),
             ("/a/c[s[s]]", 0.8),
         ] {
-            let est = m.estimate(&parse(q).unwrap());
+            let est = m.point(&parse(q).unwrap());
             assert!((est - expected).abs() < 1e-9, "{q}: {est} != {expected}");
         }
     }
@@ -2048,13 +2006,14 @@ mod tests {
         let config = XseedConfig::default();
         let mut m = StreamingMatcher::new(&frozen, kernel.names(), &config, None);
         // /a/c/s/p: the t and u subtrees cannot contain the result labels.
-        let (est, visited) = m.estimate_with_stats(&parse("/a/c/s/p").unwrap());
+        let out = m.estimate(&parse("/a/c/s/p").unwrap(), None, Mode::Point);
+        let (est, visited) = (out.estimate, out.visited);
         assert!((est - 9.0).abs() < 1e-9);
         assert!(visited < 14, "visited {visited} of 14 EPT nodes");
         assert!(visited > 0);
         // A wildcard query visits everything the materialized EPT holds.
-        let (_, all) = m.estimate_with_stats(&parse("//*").unwrap());
-        assert_eq!(all, 14);
+        let all = m.estimate(&parse("//*").unwrap(), None, Mode::Point);
+        assert_eq!(all.visited, 14);
     }
 
     #[test]
@@ -2063,7 +2022,7 @@ mod tests {
         let frozen = FrozenKernel::freeze(&kernel);
         let config = XseedConfig::default();
         let mut m = StreamingMatcher::new(&frozen, kernel.names(), &config, None);
-        assert_eq!(m.estimate(&parse("/a").unwrap()), 0.0);
+        assert_eq!(m.point(&parse("/a").unwrap()), 0.0);
     }
 
     #[test]
@@ -2075,9 +2034,9 @@ mod tests {
         // Interleave predicate-heavy and simple queries to shake the
         // scratch reuse.
         for _ in 0..3 {
-            assert!((m.estimate(&parse("/a/c/s[t][s]/p").unwrap()) - 1.44).abs() < 1e-9);
-            assert!((m.estimate(&parse("//p").unwrap()) - 17.0).abs() < 1e-9);
-            assert!((m.estimate(&parse("/a/c").unwrap()) - 2.0).abs() < 1e-9);
+            assert!((m.point(&parse("/a/c/s[t][s]/p").unwrap()) - 1.44).abs() < 1e-9);
+            assert!((m.point(&parse("//p").unwrap()) - 17.0).abs() < 1e-9);
+            assert!((m.point(&parse("/a/c").unwrap()) - 2.0).abs() < 1e-9);
         }
     }
 
@@ -2090,11 +2049,11 @@ mod tests {
         let frozen = FrozenKernel::freeze(kernel);
         let mut cold = StreamingMatcher::new(&frozen, kernel.names(), config, het);
         let mut memoized = StreamingMatcher::new(&frozen, kernel.names(), config, het);
-        memoized.enable_batch_memo();
+        memoized.set_frontier_memo(Arc::new(FrontierMemo::build(&frozen, config, het)));
         for q in queries {
             let expr = parse(q).unwrap();
-            let expected = cold.estimate(&expr);
-            let got = memoized.estimate(&expr);
+            let expected = cold.point(&expr);
+            let got = memoized.point(&expr);
             assert!(
                 (expected - got).abs() < 1e-9,
                 "{q}: memoized {got} != streaming {expected}"
@@ -2179,7 +2138,9 @@ mod tests {
         assert!(memo.len() <= 3);
         let mut m = StreamingMatcher::new(&frozen, kernel.names(), &config, None);
         m.set_frontier_memo(std::sync::Arc::new(memo));
-        let (_, visited) = m.estimate_with_stats(&parse("//*").unwrap());
+        let visited = m
+            .estimate(&parse("//*").unwrap(), None, Mode::Point)
+            .visited;
         assert!(visited <= 3);
     }
 
@@ -2213,8 +2174,8 @@ mod tests {
         for q in queries {
             let expr = parse(q).unwrap();
             assert_eq!(
-                memoized.estimate(&expr).to_bits(),
-                cold.estimate(&expr).to_bits(),
+                memoized.point(&expr).to_bits(),
+                cold.point(&expr).to_bits(),
                 "cap {cap} {q}: memo replay diverged from cold streaming"
             );
         }
@@ -2273,7 +2234,7 @@ mod tests {
                     .map(|&l| kernel.names().name_or_panic(l).to_string())
                     .collect();
                 let expr = xpathkit::ast::PathExpr::simple(names);
-                let expected = m.estimate(&expr);
+                let expected = m.point(&expr);
                 let got = totals.get(&path_hash(&labels)).copied().unwrap_or(0.0);
                 assert_eq!(
                     got.to_bits(),
@@ -2292,8 +2253,8 @@ mod tests {
         let memo = FrontierMemo::build(&frozen, &config, None);
         assert!(memo.is_empty());
         let mut m = StreamingMatcher::new(&frozen, kernel.names(), &config, None);
-        m.enable_batch_memo();
-        assert_eq!(m.estimate(&parse("/a").unwrap()), 0.0);
+        m.set_frontier_memo(Arc::new(memo));
+        assert_eq!(m.point(&parse("/a").unwrap()), 0.0);
     }
 
     #[test]
@@ -2307,15 +2268,20 @@ mod tests {
         let mut uncached = StreamingMatcher::new(&frozen, kernel.names(), &config, None);
         for q in FIGURE2_QUERIES {
             let plan = QueryPlan::parse(q).unwrap();
-            let expected = uncached.estimate(plan.expr());
+            let expected = uncached.point(plan.expr());
             // Two cached runs: the second must hit the compiled cache and
             // both must be bit-identical to the plain expression path.
-            assert_eq!(cached.estimate_plan(&plan).to_bits(), expected.to_bits());
-            assert_eq!(cached.estimate_plan(&plan).to_bits(), expected.to_bits());
+            for _ in 0..2 {
+                let got = cached.estimate(plan.expr(), Some(plan.id()), Mode::Point);
+                assert_eq!(got.estimate.to_bits(), expected.to_bits());
+            }
             assert_eq!(
-                uncached.estimate_plan(&plan).to_bits(),
+                uncached
+                    .estimate(plan.expr(), Some(plan.id()), Mode::Point)
+                    .estimate
+                    .to_bits(),
                 expected.to_bits(),
-                "{q}: cache-less estimate_plan must equal estimate"
+                "{q}: a cache-less plan-keyed estimate must equal the expression's"
             );
         }
         let stats = cache.stats();
@@ -2334,11 +2300,15 @@ mod tests {
         m.set_compiled_cache(cache.clone());
         let a = QueryPlan::parse("/a/c/s").unwrap();
         let b = QueryPlan::parse("/a/c/s").unwrap();
-        assert_eq!(m.estimate_plan(&a), m.estimate_plan(&b));
+        let mut by_plan = |plan: &QueryPlan| {
+            m.estimate(plan.expr(), Some(plan.id()), Mode::Point)
+                .estimate
+        };
+        assert_eq!(by_plan(&a), by_plan(&b));
         // Distinct parses are distinct identities: two compilations.
         assert_eq!(cache.stats().misses, 2);
         // A clone shares the identity: pure hit.
-        let _ = m.estimate_plan(&a.clone());
+        let _ = by_plan(&a.clone());
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.stats().hits, 1);
     }
@@ -2390,18 +2360,15 @@ mod tests {
         let eval = nokstore::Evaluator::new(&storage);
         for q in queries {
             let expr = parse(q).unwrap();
-            let be = m.estimate_bound(&expr);
+            let (estimate, bound) = m.bounded(&expr);
             let actual = eval.count(&expr) as f64;
             assert!(
-                be.bound + 1e-9 >= actual,
-                "{q}: bound {} < true cardinality {actual}",
-                be.bound
+                bound + 1e-9 >= actual,
+                "{q}: bound {bound} < true cardinality {actual}"
             );
             assert!(
-                be.bound + 1e-9 >= be.estimate,
-                "{q}: bound {} < point estimate {}",
-                be.bound,
-                be.estimate
+                bound + 1e-9 >= estimate,
+                "{q}: bound {bound} < point estimate {estimate}"
             );
         }
     }
@@ -2488,15 +2455,13 @@ mod tests {
         let eval = nokstore::Evaluator::new(&storage);
         let expr = parse("/a/c/s").unwrap();
         let actual = eval.count(&expr);
-        let loose = StreamingMatcher::new(&frozen, kernel.names(), &config, None)
-            .estimate_bound(&expr)
-            .bound;
+        let (_, loose) =
+            StreamingMatcher::new(&frozen, kernel.names(), &config, None).bounded(&expr);
         let mut het = HyperEdgeTable::new();
         het.insert_simple(path_hash(&[l("a"), l("c"), l("s")]), actual, 0.9, 100.0);
         het.rebuild_residency();
-        let tight = StreamingMatcher::new(&frozen, kernel.names(), &config, Some(&het))
-            .estimate_bound(&expr)
-            .bound;
+        let (_, tight) =
+            StreamingMatcher::new(&frozen, kernel.names(), &config, Some(&het)).bounded(&expr);
         assert!(
             tight <= loose,
             "HET clamp inflated the bound: {tight} > {loose}"
@@ -2510,16 +2475,14 @@ mod tests {
         let frozen = FrozenKernel::freeze(&kernel);
         let config = XseedConfig::default();
         let mut m = StreamingMatcher::new(&frozen, kernel.names(), &config, None);
-        let be = m.estimate_bound(&parse("/a").unwrap());
-        assert_eq!(be.bound, 0.0);
-        assert_eq!(be.estimate, 0.0);
+        assert_eq!(m.bounded(&parse("/a").unwrap()), (0.0, 0.0));
 
         let kernel = KernelBuilder::from_document(&figure2_document());
         let frozen = FrozenKernel::freeze(&kernel);
         let mut m = StreamingMatcher::new(&frozen, kernel.names(), &config, None);
         for q in ["/zzz", "/a/zzz", "//zzz", "/a//zzz/t"] {
-            let be = m.estimate_bound(&parse(q).unwrap());
-            assert_eq!(be.bound, 0.0, "{q}: absent label must bound 0");
+            let (_, bound) = m.bounded(&parse(q).unwrap());
+            assert_eq!(bound, 0.0, "{q}: absent label must bound 0");
         }
     }
 
@@ -2533,18 +2496,18 @@ mod tests {
         let config = XseedConfig::default();
         let mut m = StreamingMatcher::new(&frozen, kernel.names(), &config, None);
         for (q, truth) in [("/a/c/s", 5.0), ("//p", 17.0), ("//*", 36.0), ("/a", 1.0)] {
-            let be = m.estimate_bound(&parse(q).unwrap());
-            assert!(be.bound >= truth, "{q}: bound {} < truth {truth}", be.bound);
+            let (_, bound) = m.bounded(&parse(q).unwrap());
+            assert!(bound >= truth, "{q}: bound {bound} < truth {truth}");
         }
         // //* covers every node; the per-label totals are exact, so the
         // bound is exactly the document size.
-        assert_eq!(m.estimate_bound(&parse("//*").unwrap()).bound, 36.0);
+        assert_eq!(m.bounded(&parse("//*").unwrap()).1, 36.0);
         // A leading child step matches only the root.
-        assert_eq!(m.estimate_bound(&parse("/a").unwrap()).bound, 1.0);
+        assert_eq!(m.bounded(&parse("/a").unwrap()).1, 1.0);
     }
 
     #[test]
-    fn estimate_plan_bound_matches_estimate_bound() {
+    fn plan_keyed_bound_matches_expression_keyed_bound() {
         let kernel = KernelBuilder::from_document(&figure2_document());
         let frozen = FrozenKernel::freeze(&kernel);
         let config = XseedConfig::default();
@@ -2554,14 +2517,48 @@ mod tests {
         let mut plain = StreamingMatcher::new(&frozen, kernel.names(), &config, None);
         for q in FIGURE2_QUERIES {
             let plan = QueryPlan::parse(q).unwrap();
-            let expected = plain.estimate_bound(plan.expr());
+            let (estimate, bound) = plain.bounded(plan.expr());
             for _ in 0..2 {
-                let got = cached.estimate_plan_bound(&plan);
-                assert_eq!(got.bound.to_bits(), expected.bound.to_bits(), "{q}");
-                assert_eq!(got.estimate.to_bits(), expected.estimate.to_bits(), "{q}");
+                let got = cached.estimate(plan.expr(), Some(plan.id()), Mode::Bound);
+                assert_eq!(got.bound.map(f64::to_bits), Some(bound.to_bits()), "{q}");
+                assert_eq!(got.estimate.to_bits(), estimate.to_bits(), "{q}");
             }
         }
         assert!(cache.stats().hits > 0);
+    }
+
+    #[test]
+    fn each_plan_keyed_call_makes_one_cache_lookup() {
+        // Both modes share one compiled query, so the compiled-cache
+        // counters `STATS` reports count each `EST … mode=bound` once.
+        let kernel = KernelBuilder::from_document(&figure2_document());
+        let frozen = FrozenKernel::freeze(&kernel);
+        let config = XseedConfig::default();
+        let cache = Arc::new(CompiledPlanCache::new(2, 64));
+        let mut m = StreamingMatcher::new(&frozen, kernel.names(), &config, None);
+        m.set_compiled_cache(cache.clone());
+        let lookups = |cache: &CompiledPlanCache| {
+            let stats = cache.stats();
+            stats.hits + stats.misses
+        };
+        let plan = QueryPlan::parse("/a/c/s[t]/p").unwrap();
+        let cold = m.estimate(plan.expr(), Some(plan.id()), Mode::Point);
+        assert!(cold.compile_time.is_some(), "a miss compiles");
+        assert_eq!(lookups(&cache), 1);
+        for mode in [Mode::Bound, Mode::Point, Mode::Bound] {
+            let before = lookups(&cache);
+            let warm = m.estimate(plan.expr(), Some(plan.id()), mode);
+            assert_eq!(lookups(&cache), before + 1, "{mode:?}: one lookup per call");
+            assert_eq!(warm.compile_time, None, "{mode:?}: a hit does not compile");
+            assert_eq!(warm.bound.is_some(), mode == Mode::Bound);
+        }
+        // Expression-keyed calls compile afresh and never touch the cache.
+        let before = lookups(&cache);
+        for mode in [Mode::Point, Mode::Bound] {
+            let out = m.estimate(plan.expr(), None, mode);
+            assert!(out.compile_time.is_some());
+        }
+        assert_eq!(lookups(&cache), before);
     }
 
     #[test]
@@ -2573,7 +2570,9 @@ mod tests {
             ..XseedConfig::default()
         };
         let mut m = StreamingMatcher::new(&frozen, kernel.names(), &config, None);
-        let (_, visited) = m.estimate_with_stats(&parse("//*").unwrap());
+        let visited = m
+            .estimate(&parse("//*").unwrap(), None, Mode::Point)
+            .visited;
         assert!(visited <= 3);
     }
 }

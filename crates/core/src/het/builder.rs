@@ -25,7 +25,7 @@
 //! many (or too few) nodes.
 
 use crate::config::XseedConfig;
-use crate::estimate::streaming::{FrontierMemo, StreamingMatcher};
+use crate::estimate::streaming::{FrontierMemo, Mode, StreamingMatcher};
 use crate::het::hash::{correlated_key, path_hash};
 use crate::het::table::HyperEdgeTable;
 use crate::kernel::{FrozenKernel, Kernel};
@@ -369,7 +369,9 @@ impl<'a> HetBuilder<'a> {
         matcher.set_frontier_memo(memo.clone());
         for (candidate, actual) in candidates.iter().zip(counts) {
             stats.exact_evaluations += 1;
-            let estimated = matcher.estimate(&candidate.expr);
+            let estimated = matcher
+                .estimate(&candidate.expr, None, Mode::Point)
+                .estimate;
             let error = (estimated - actual as f64).abs();
             let correlated_bsel = actual as f64 / candidate.result_card as f64;
             het.insert_correlated(candidate.key, actual, correlated_bsel, error);

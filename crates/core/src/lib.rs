@@ -18,6 +18,23 @@
 //! * the **synopsis facade** ([`synopsis::XseedSynopsis`]) tying it all
 //!   together behind the API a cost-based optimizer would use.
 //!
+//! ## Asking for an estimate
+//!
+//! Every estimate goes through one method,
+//! [`StreamingMatcher::estimate`]`(expr, plan_id, mode)`. It returns an
+//! [`Outcome`]: the point estimate, a guaranteed upper bound when `mode`
+//! is [`Mode::Bound`], the number of nodes visited, and the compile time
+//! when the call compiled. Pass a [`xpathkit::QueryPlan`]'s id to reuse
+//! its compiled form through the snapshot's cache; pass `None` to compile
+//! the expression afresh.
+//!
+//! Matchers come from a published [`SynopsisSnapshot`]. Its
+//! [`SynopsisSnapshot::matcher_for_batch`] is the one place that chooses
+//! the traversal: the cold streaming pass for a single query, and replay
+//! of the shared [`FrontierMemo`] for a batch. Two one-line shorthands
+//! cover the common point query: [`XseedSynopsis::estimate`] for an
+//! expression and [`SynopsisSnapshot::estimate_plan`] for a cached plan.
+//!
 //! ## Quick example
 //!
 //! ```
@@ -48,8 +65,8 @@ pub mod synopsis;
 pub use config::XseedConfig;
 pub use counter_stacks::CounterStacks;
 pub use estimate::{
-    BoundedEstimate, CompiledCacheStats, CompiledPlanCache, CompiledQuery, EstimateEvent,
-    ExpandedPathTree, FrontierMemo, Matcher, StreamingMatcher, Traveler,
+    CompiledCacheStats, CompiledPlanCache, CompiledQuery, EstimateEvent, ExpandedPathTree,
+    FrontierMemo, Matcher, Mode, Outcome, StreamingMatcher, Traveler,
 };
 pub use het::{
     BselThresholdStrategy, CandidateContext, CandidateStrategy, FeedbackOutcome, HetBuildStats,
@@ -58,6 +75,4 @@ pub use het::{
 pub use kernel::{EdgeLabel, FrozenKernel, Kernel, KernelBuilder, PartialKernel};
 pub use partition::{build_kernel_partitioned, merge_partials, PartitionPlan};
 pub use persist::{decode_snapshot, encode_snapshot, PersistError, SnapshotParts};
-pub use synopsis::{
-    EstimateReport, FeedbackReport, SynopsisEstimator, SynopsisSnapshot, XseedSynopsis,
-};
+pub use synopsis::{FeedbackReport, SynopsisEstimator, SynopsisSnapshot, XseedSynopsis};

@@ -8,7 +8,7 @@ use crate::config::XseedConfig;
 use crate::estimate::ept::ExpandedPathTree;
 use crate::estimate::matcher::Matcher;
 use crate::estimate::streaming::{
-    BoundedEstimate, CompiledCacheStats, CompiledPlanCache, FrontierMemo, StreamingMatcher,
+    CompiledCacheStats, CompiledPlanCache, FrontierMemo, Mode, StreamingMatcher,
 };
 use crate::het::builder::{HetBuildStats, HetBuilder};
 use crate::het::feedback::FeedbackOutcome;
@@ -20,17 +20,6 @@ use std::sync::{Arc, OnceLock};
 use xmlkit::names::NameTable;
 use xmlkit::tree::Document;
 use xpathkit::ast::PathExpr;
-
-/// Result of an estimation call, with diagnostics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EstimateReport {
-    /// The estimated cardinality.
-    pub cardinality: f64,
-    /// Number of expanded-path-tree nodes the streaming traversal visited
-    /// for this estimate — at most (and, without reachability pruning,
-    /// exactly) the size of the materialized EPT.
-    pub ept_nodes: usize,
-}
 
 /// Result of one feedback submission
 /// ([`XseedSynopsis::record_feedback_report`]): what was recorded plus the
@@ -365,35 +354,13 @@ impl XseedSynopsis {
     ///
     /// Runs the streaming matcher over the frozen kernel snapshot: no EPT
     /// arena is materialized, and the snapshot is shared by every estimate
-    /// until the kernel changes.
+    /// until the kernel changes. Bound mode, visited-node counts and
+    /// compile timing come from [`StreamingMatcher::estimate`] on a
+    /// [`XseedSynopsis::streaming_matcher`].
     pub fn estimate(&self, expr: &PathExpr) -> f64 {
-        self.streaming_matcher().estimate(expr)
-    }
-
-    /// Estimates the cardinality of a path expression, also reporting the
-    /// number of EPT nodes visited (the quantity Section 6.4 tracks).
-    pub fn estimate_with_stats(&self, expr: &PathExpr) -> EstimateReport {
-        let (cardinality, ept_nodes) = self.streaming_matcher().estimate_with_stats(expr);
-        EstimateReport {
-            cardinality,
-            ept_nodes,
-        }
-    }
-
-    /// Estimates a path expression in bound mode: the point estimate
-    /// paired with a guaranteed upper bound on the true cardinality (see
-    /// [`StreamingMatcher::estimate_bound`]).
-    pub fn estimate_bound(&self, expr: &PathExpr) -> BoundedEstimate {
-        self.streaming_matcher().estimate_bound(expr)
-    }
-
-    /// Estimates a whole batch of queries over one shared frontier memo
-    /// (the traveler's expansion recorded once per epoch and replayed per
-    /// query), returning the estimates in input order. The memo is cached
-    /// on the published snapshot, so repeated batches between updates pay
-    /// the expansion exactly once.
-    pub fn estimate_batch(&self, exprs: &[PathExpr]) -> Vec<f64> {
-        self.snapshot().estimate_batch(exprs)
+        self.streaming_matcher()
+            .estimate(expr, None, Mode::Point)
+            .estimate
     }
 
     /// Creates a streaming matcher over the frozen snapshot. Reusing one
@@ -645,8 +612,8 @@ impl SynopsisSnapshot {
     }
 
     /// A streaming matcher over this snapshot, with the snapshot's shared
-    /// compiled-query cache installed (so
-    /// [`StreamingMatcher::estimate_plan`] reuses label-resolved
+    /// compiled-query cache installed (so plan-keyed
+    /// [`StreamingMatcher::estimate`] calls reuse label-resolved
     /// compilations across all matchers of this snapshot). Each worker
     /// thread should hold its own matcher (scratch buffers are
     /// per-matcher); the underlying snapshot data is shared.
@@ -694,15 +661,6 @@ impl SynopsisSnapshot {
         })
     }
 
-    /// A streaming matcher with this snapshot's shared frontier memo
-    /// installed — the batch hot path. The memo is built on first use and
-    /// cached for the snapshot's lifetime.
-    pub fn batch_matcher(&self) -> StreamingMatcher<'_> {
-        let mut matcher = self.matcher();
-        matcher.set_frontier_memo(self.frontier_memo().clone());
-        matcher
-    }
-
     /// The matcher a batch of `batch_len` queries should use — the single
     /// home of the memo-activation policy: memoized replay for real
     /// batches, the cold streaming pass for 0/1 queries. Singles stay
@@ -712,11 +670,11 @@ impl SynopsisSnapshot {
     /// expansion is a deterministic function of the snapshot + config +
     /// HET, threshold escalation included).
     pub fn matcher_for_batch(&self, batch_len: usize) -> StreamingMatcher<'_> {
+        let mut matcher = self.matcher();
         if batch_len > 1 {
-            self.batch_matcher()
-        } else {
-            self.matcher()
+            matcher.set_frontier_memo(self.frontier_memo().clone());
         }
+        matcher
     }
 
     /// The shared frontier memo (the traveler's expansion recorded once),
@@ -731,40 +689,14 @@ impl SynopsisSnapshot {
         })
     }
 
-    /// Estimates one query (one-shot matcher; for many queries prefer
-    /// [`SynopsisSnapshot::matcher`] or [`SynopsisSnapshot::estimate_batch`]).
-    pub fn estimate(&self, expr: &PathExpr) -> f64 {
-        self.matcher().estimate(expr)
-    }
-
     /// Estimates one cached plan through the snapshot's compiled-query
     /// cache: a repeat of the same [`xpathkit::QueryPlan`] (same identity)
-    /// skips recompilation entirely. One-shot matcher; for many plans
-    /// prefer [`SynopsisSnapshot::matcher`].
+    /// skips recompilation entirely. One-shot matcher; for many plans, or
+    /// for bound mode, ask a [`SynopsisSnapshot::matcher_for_batch`].
     pub fn estimate_plan(&self, plan: &xpathkit::QueryPlan) -> f64 {
-        self.matcher().estimate_plan(plan)
-    }
-
-    /// Estimates one query in bound mode (point estimate + guaranteed
-    /// upper bound; see [`StreamingMatcher::estimate_bound`]). One-shot
-    /// matcher; for many queries hold a [`SynopsisSnapshot::matcher`].
-    pub fn estimate_bound(&self, expr: &PathExpr) -> BoundedEstimate {
-        self.matcher().estimate_bound(expr)
-    }
-
-    /// Estimates one cached plan in bound mode through the snapshot's
-    /// compiled-query cache (see
-    /// [`StreamingMatcher::estimate_plan_bound`]).
-    pub fn estimate_plan_bound(&self, plan: &xpathkit::QueryPlan) -> BoundedEstimate {
-        self.matcher().estimate_plan_bound(plan)
-    }
-
-    /// Estimates a batch of queries over the shared frontier memo,
-    /// returning estimates in input order. Matcher selection follows
-    /// [`SynopsisSnapshot::matcher_for_batch`].
-    pub fn estimate_batch(&self, exprs: &[PathExpr]) -> Vec<f64> {
-        let mut matcher = self.matcher_for_batch(exprs.len());
-        exprs.iter().map(|q| matcher.estimate(q)).collect()
+        self.matcher()
+            .estimate(plan.expr(), Some(plan.id()), Mode::Point)
+            .estimate
     }
 }
 
@@ -803,6 +735,10 @@ mod tests {
     use xmlkit::samples::{figure2_document, figure4_document};
     use xpathkit::parse;
 
+    fn snap_estimate(snap: &SynopsisSnapshot, expr: &PathExpr) -> f64 {
+        snap.matcher().estimate(expr, None, Mode::Point).estimate
+    }
+
     #[test]
     fn kernel_only_estimates() {
         let doc = figure2_document();
@@ -824,15 +760,16 @@ mod tests {
         for q in ["/a/c/s", "//p", "/a/c/s[t]/p", "//s//s//p", "/a/*"] {
             let expr = parse(q).unwrap();
             let actual = eval.count(&expr) as f64;
-            let be = synopsis.estimate_bound(&expr);
-            assert!(be.bound >= actual, "{q}: bound {} < {actual}", be.bound);
-            assert!(be.bound >= be.estimate, "{q}");
-            assert_eq!(snap.estimate_bound(&expr), be);
+            let be = synopsis
+                .streaming_matcher()
+                .estimate(&expr, None, Mode::Bound);
+            let bound = be.bound.unwrap();
+            assert!(bound >= actual, "{q}: bound {bound} < {actual}");
+            assert!(bound >= be.estimate, "{q}");
             let plan = xpathkit::QueryPlan::parse(q).unwrap();
-            assert_eq!(
-                snap.estimate_plan_bound(&plan).bound.to_bits(),
-                be.bound.to_bits()
-            );
+            let by_plan = snap.matcher().estimate(&expr, Some(plan.id()), Mode::Bound);
+            assert_eq!(by_plan.bound.map(f64::to_bits), Some(bound.to_bits()));
+            assert_eq!(by_plan.estimate.to_bits(), be.estimate.to_bits());
         }
     }
 
@@ -941,7 +878,7 @@ mod tests {
         assert!(stats.simple_entries > 0);
         assert!(synopsis.epoch() > epoch_before);
         assert!((synopsis.estimate(&expr) - actual).abs() < 1e-6);
-        assert!((old_snap.estimate(&expr) - actual).abs() > 1e-6);
+        assert!((snap_estimate(&old_snap, &expr) - actual).abs() > 1e-6);
         assert!(synopsis.snapshot().epoch() > old_snap.epoch());
 
         // Strategy-bounded rebuilds go through the same path.
@@ -1022,17 +959,18 @@ mod tests {
     }
 
     #[test]
-    fn estimate_with_stats_reports_visited_nodes() {
+    fn estimate_reports_visited_nodes() {
         let doc = figure2_document();
         let synopsis = XseedSynopsis::build(&doc, XseedConfig::default());
+        let mut matcher = synopsis.streaming_matcher();
         // //p prunes the t/u subtrees (no p below them), so the streaming
         // traversal visits fewer nodes than the 14-node materialized EPT.
-        let report = synopsis.estimate_with_stats(&parse("//p").unwrap());
-        assert!(report.ept_nodes > 0 && report.ept_nodes < 14);
-        assert!((report.cardinality - 17.0).abs() < 1e-6);
+        let report = matcher.estimate(&parse("//p").unwrap(), None, Mode::Point);
+        assert!(report.visited > 0 && report.visited < 14);
+        assert!((report.estimate - 17.0).abs() < 1e-6);
         // A wildcard query visits the full EPT.
-        let report = synopsis.estimate_with_stats(&parse("//*").unwrap());
-        assert_eq!(report.ept_nodes, 14);
+        let report = matcher.estimate(&parse("//*").unwrap(), None, Mode::Point);
+        assert_eq!(report.visited, 14);
         assert_eq!(synopsis.estimator().ept_len(), 14);
     }
 
@@ -1072,8 +1010,11 @@ mod tests {
         let doc = figure2_document();
         let config = XseedConfig::default().with_card_threshold(2.0);
         let synopsis = XseedSynopsis::build(&doc, config);
-        let report = synopsis.estimate_with_stats(&parse("//p").unwrap());
-        assert!(report.ept_nodes < 14);
+        let report =
+            synopsis
+                .streaming_matcher()
+                .estimate(&parse("//p").unwrap(), None, Mode::Point);
+        assert!(report.visited < 14);
     }
 
     #[test]
@@ -1108,7 +1049,7 @@ mod tests {
         let mut synopsis = XseedSynopsis::build(&doc, XseedConfig::default());
         let q = parse("/a/c/s").unwrap();
         let snap = synopsis.snapshot();
-        let before = snap.estimate(&q);
+        let before = snap_estimate(&snap, &q);
         assert!((before - 5.0).abs() < 1e-9);
 
         let root_name = synopsis
@@ -1123,8 +1064,8 @@ mod tests {
 
         // The synopsis sees the new edge; the old snapshot does not.
         assert!((synopsis.estimate(&parse("/a/zzz").unwrap()) - 1.0).abs() < 1e-9);
-        assert_eq!(snap.estimate(&parse("/a/zzz").unwrap()), 0.0);
-        assert!((snap.estimate(&q) - before).abs() < 1e-12);
+        assert_eq!(snap_estimate(&snap, &parse("/a/zzz").unwrap()), 0.0);
+        assert!((snap_estimate(&snap, &q) - before).abs() < 1e-12);
         assert!(snap.epoch() < synopsis.epoch());
     }
 
@@ -1146,21 +1087,22 @@ mod tests {
     }
 
     #[test]
-    fn synopsis_estimate_batch_matches_estimate() {
+    fn batch_matcher_matches_estimate() {
         let doc = figure2_document();
         let synopsis = XseedSynopsis::build(&doc, XseedConfig::default());
         let queries: Vec<_> = ["/a/c/s", "//s//p", "/a/c/s[t]/p", "/a/*", "//*"]
             .iter()
             .map(|q| parse(q).unwrap())
             .collect();
-        let batch = synopsis.estimate_batch(&queries);
-        for (expr, got) in queries.iter().zip(&batch) {
+        let snap = synopsis.snapshot();
+        let mut batch = snap.matcher_for_batch(queries.len());
+        for expr in &queries {
+            let got = batch.estimate(expr, None, Mode::Point).estimate;
             assert!((synopsis.estimate(expr) - got).abs() < 1e-9);
         }
-        // The snapshot's frontier memo is cached across batch calls.
-        let snap = synopsis.snapshot();
+        // The snapshot's frontier memo is cached across batch matchers.
         let memo = snap.frontier_memo().clone();
-        let _ = snap.estimate_batch(&queries);
+        let _ = snap.matcher_for_batch(queries.len());
         assert!(Arc::ptr_eq(&memo, snap.frontier_memo()));
     }
 

@@ -25,7 +25,7 @@ use crate::metrics::{Obs, Stage};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xpathkit::QueryPlan;
-use xseed_core::{BoundedEstimate, SynopsisSnapshot};
+use xseed_core::{Mode, SynopsisSnapshot};
 
 /// One observed cardinality in a feedback batch: the executed query (a
 /// cached plan, so repeated feedback skips the parser) plus what the
@@ -61,64 +61,43 @@ pub fn execute_batch(
 }
 
 /// [`execute_batch`] with per-stage observability: when `obs` is present,
-/// each plan's compilation (compiled-cache misses only, captured inside
-/// the miss closure by
-/// [`xseed_core::StreamingMatcher::estimate_plan_timed`] so the cache
-/// counters see exactly one lookup per estimate) is timed into
+/// each plan's compilation (compiled-cache misses only, timed inside the
+/// miss closure and reported in [`xseed_core::Outcome::compile_time`], so
+/// the cache counters see exactly one lookup per estimate) is timed into
 /// [`Stage::Compile`], and one `Instant` pair around the whole chunk
 /// records `batch.len()` [`Stage::Estimate`] samples of the per-query
 /// mean with the total compile time subtracted out, so the two stages
 /// partition the work and the warm per-query hot path pays no clock
 /// reads at all (see [`Obs::record_amortized`]). With `obs` absent this
 /// is exactly [`execute_batch`].
-pub fn execute_batch_observed(
+pub(crate) fn execute_batch_observed(
     snapshot: &SynopsisSnapshot,
     batch: &[Arc<QueryPlan>],
     policy_len: usize,
     obs: &Option<Arc<Obs>>,
 ) -> Vec<f64> {
     let mut matcher = snapshot.matcher_for_batch(policy_len.max(batch.len()));
+    let mut estimate =
+        |plan: &QueryPlan| matcher.estimate(plan.expr(), Some(plan.id()), Mode::Point);
     let Some(obs) = obs else {
-        return batch
-            .iter()
-            .map(|plan| matcher.estimate_plan(plan))
-            .collect();
+        return batch.iter().map(|plan| estimate(plan).estimate).collect();
     };
     let started = Instant::now();
     let mut compile_total = Duration::ZERO;
     let estimates: Vec<f64> = batch
         .iter()
         .map(|plan| {
-            let (estimate, compiled) = matcher.estimate_plan_timed(plan);
-            if let Some(compile_time) = compiled {
+            let outcome = estimate(plan);
+            if let Some(compile_time) = outcome.compile_time {
                 obs.record(Stage::Compile, compile_time);
                 compile_total += compile_time;
             }
-            estimate
+            outcome.estimate
         })
         .collect();
     let estimating = started.elapsed().saturating_sub(compile_total);
     obs.record_amortized(Stage::Estimate, estimating, batch.len() as u64);
     estimates
-}
-
-/// Estimates every plan of `batch` in **bound mode** over one snapshot
-/// pass: each result pairs the point estimate with a guaranteed upper
-/// bound on the true cardinality
-/// ([`xseed_core::StreamingMatcher::estimate_plan_bound`]). Matcher
-/// selection follows the same `policy_len` rule as [`execute_batch`]; the
-/// compiled form is shared with the point path through the snapshot's
-/// compiled-query cache.
-pub fn execute_batch_bound(
-    snapshot: &SynopsisSnapshot,
-    batch: &[Arc<QueryPlan>],
-    policy_len: usize,
-) -> Vec<BoundedEstimate> {
-    let mut matcher = snapshot.matcher_for_batch(policy_len.max(batch.len()));
-    batch
-        .iter()
-        .map(|plan| matcher.estimate_plan_bound(plan))
-        .collect()
 }
 
 #[cfg(test)]
@@ -144,25 +123,5 @@ mod tests {
         // Single-plan batches work too.
         let single = execute_batch(&snapshot, &plans[..1], 1);
         assert!((single[0] - batch[0]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn batch_bound_dominates_point_estimates() {
-        let synopsis =
-            XseedSynopsis::build_from_xml(xmlkit::samples::FIGURE2_XML, XseedConfig::default())
-                .unwrap();
-        let snapshot = synopsis.snapshot();
-        let plans: Vec<Arc<QueryPlan>> = ["/a/c/s", "//s//p", "/a/c/s[t]/p", "//*", "/a/zzz"]
-            .iter()
-            .map(|q| Arc::new(QueryPlan::parse(q).unwrap()))
-            .collect();
-        let points = execute_batch(&snapshot, &plans, plans.len());
-        let bounded = execute_batch_bound(&snapshot, &plans, plans.len());
-        for ((plan, point), be) in plans.iter().zip(&points).zip(&bounded) {
-            assert!((be.estimate - point).abs() < 1e-9, "{}", plan.text());
-            assert!(be.bound >= be.estimate, "{}", plan.text());
-        }
-        // Bound of an absent label is exactly zero.
-        assert_eq!(bounded[4].bound, 0.0);
     }
 }

@@ -22,10 +22,10 @@
 //!
 //! ## Self-maintenance
 //!
-//! Each entry optionally **retains its source document**
-//! ([`RetentionPolicy::Retain`]), carries a [`MaintenancePolicy`], and
-//! accumulates the absolute-error mass that query feedback
-//! ([`Catalog::record_feedback`]) exposes. When the policy decides the
+//! Each entry optionally **retains its source document** (the `document`
+//! argument of [`Catalog::insert_full`]), carries a
+//! [`MaintenancePolicy`], and accumulates the absolute-error mass that
+//! query feedback ([`Catalog::record_feedback`]) exposes. When the policy decides the
 //! synopsis has drifted far enough *and* the document is retained, the
 //! feedback result reports `rebuild_due` — the serving layer's
 //! maintenance thread then calls [`Catalog::rebuild_het_retained`], which
@@ -41,26 +41,8 @@ use xmlkit::tree::Document;
 use xpathkit::ast::PathExpr;
 use xseed_core::{
     BselThresholdStrategy, CandidateContext, CandidateStrategy, FeedbackOutcome, FeedbackReport,
-    SynopsisSnapshot, XseedConfig, XseedSynopsis,
+    Mode, SynopsisSnapshot, XseedConfig, XseedSynopsis,
 };
-
-/// Whether a load keeps the source [`Document`] alongside the synopsis.
-///
-/// Retention is what makes automatic HET maintenance possible: a rebuild
-/// needs the document's exact statistics, and a dropped document would
-/// force the caller back into the loop. The cost is the document's heap
-/// footprint (typically an order of magnitude above the synopsis itself —
-/// see `docs/OPERATIONS.md` for sizing guidance).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RetentionPolicy {
-    /// Build the synopsis and drop the document (the pre-maintenance
-    /// behavior, and the default).
-    #[default]
-    Drop,
-    /// Keep an `Arc` of the document in the entry for feedback-driven
-    /// rebuilds.
-    Retain,
-}
 
 /// When the catalog should consider a synopsis due for an automatic HET
 /// rebuild. Tracked per document; evaluated after every applied feedback.
@@ -393,45 +375,22 @@ impl Catalog {
             .expect("uncapped insert cannot be rejected")
     }
 
-    /// Like [`Catalog::insert`], but also retains `document` so
-    /// feedback-driven maintenance ([`Catalog::rebuild_het_retained`])
-    /// can rebuild the entry's HET without the caller re-supplying it.
-    /// `document` must be the document `synopsis` summarizes.
-    pub fn insert_retained(
-        &self,
-        name: &str,
-        synopsis: XseedSynopsis,
-        document: Arc<Document>,
-        policy: MaintenancePolicy,
-    ) -> SynopsisSnapshot {
-        self.insert_full(name, synopsis, None, Some(document), policy)
-            .expect("uncapped insert cannot be rejected")
-    }
-
-    /// Like [`Catalog::insert`], but refuses to *create* a new entry when
-    /// the catalog already holds `max_documents` (replacing an existing
-    /// name always succeeds). The capacity check and the map insert
-    /// happen under one write lock, so concurrent sessions cannot race
-    /// past the cap. Returns `None` when rejected.
-    pub fn insert_capped(
-        &self,
-        name: &str,
-        synopsis: XseedSynopsis,
-        max_documents: usize,
-    ) -> Option<SynopsisSnapshot> {
-        self.insert_full(
-            name,
-            synopsis,
-            Some(max_documents),
-            None,
-            MaintenancePolicy::Manual,
-        )
-    }
-
-    /// The general registration path: optional capacity cap, optional
-    /// retained document, and the initial maintenance policy. Replacing a
-    /// name starts its maintenance accounting fresh (the synopsis the old
-    /// counters described is gone).
+    /// The general registration path, which `LOAD` and snapshot restores
+    /// use:
+    ///
+    /// * `max_documents` refuses to *create* a new entry when the catalog
+    ///   already holds that many (replacing an existing name always
+    ///   succeeds) and then returns `None`. The check and the map insert
+    ///   happen under one write lock, so concurrent sessions cannot race
+    ///   past the cap.
+    /// * `document`, when given, is retained so feedback-driven
+    ///   maintenance ([`Catalog::rebuild_het_retained`]) can rebuild the
+    ///   entry's HET without the caller re-supplying it. It must be the
+    ///   document `synopsis` summarizes; passing the `Arc` avoids a copy.
+    /// * `policy` is the entry's initial [`MaintenancePolicy`].
+    ///
+    /// Replacing a name starts its maintenance accounting fresh (the
+    /// synopsis the old counters described is gone).
     pub fn insert_full(
         &self,
         name: &str,
@@ -477,100 +436,6 @@ impl Catalog {
         config: XseedConfig,
     ) -> SynopsisSnapshot {
         self.insert(name, XseedSynopsis::build(doc, config))
-    }
-
-    /// [`Catalog::load_document`] with an explicit [`RetentionPolicy`]:
-    /// `Retain` clones the document into the entry so feedback-driven
-    /// maintenance can rebuild without the caller. Callers that already
-    /// hold (or can move into) an `Arc<Document>` should prefer
-    /// [`Catalog::load_document_arc`], which retains without the deep
-    /// copy.
-    pub fn load_document_with(
-        &self,
-        name: &str,
-        doc: &Document,
-        config: XseedConfig,
-        retention: RetentionPolicy,
-        policy: MaintenancePolicy,
-    ) -> SynopsisSnapshot {
-        let synopsis = XseedSynopsis::build(doc, config);
-        let document = match retention {
-            RetentionPolicy::Drop => None,
-            RetentionPolicy::Retain => Some(Arc::new(doc.clone())),
-        };
-        self.insert_full(name, synopsis, None, document, policy)
-            .expect("uncapped insert cannot be rejected")
-    }
-
-    /// [`Catalog::load_document`] built with `partitions` parallel
-    /// partition workers ([`XseedSynopsis::build_partitioned`]). The
-    /// registered synopsis is bit-identical to the monolithic one — same
-    /// serialized kernel, same estimates — so callers pick a worker count
-    /// purely on build-latency grounds.
-    pub fn load_document_partitioned(
-        &self,
-        name: &str,
-        doc: &Document,
-        config: XseedConfig,
-        partitions: usize,
-    ) -> SynopsisSnapshot {
-        self.insert(
-            name,
-            XseedSynopsis::build_partitioned(doc, config, partitions),
-        )
-    }
-
-    /// Builds and registers a synopsis from a shared document, retaining
-    /// the `Arc` itself for automatic rebuilds — no document copy, so
-    /// this is the cheap path for large retained documents (the `LOAD …
-    /// retain` protocol handler goes through the equivalent
-    /// [`Catalog::insert_full`]).
-    pub fn load_document_arc(
-        &self,
-        name: &str,
-        doc: Arc<Document>,
-        config: XseedConfig,
-        policy: MaintenancePolicy,
-    ) -> SynopsisSnapshot {
-        let synopsis = XseedSynopsis::build(&doc, config);
-        self.insert_full(name, synopsis, None, Some(doc), policy)
-            .expect("uncapped insert cannot be rejected")
-    }
-
-    /// SAX-parses XML text, builds a synopsis, and registers it.
-    pub fn load_xml(
-        &self,
-        name: &str,
-        xml: &str,
-        config: XseedConfig,
-    ) -> Result<SynopsisSnapshot, xmlkit::Error> {
-        let synopsis = XseedSynopsis::build_from_xml(xml, config)?;
-        Ok(self.insert(name, synopsis))
-    }
-
-    /// [`Catalog::load_xml`] with an explicit [`RetentionPolicy`]. With
-    /// `Retain`, the XML is parsed into a [`Document`] first so the entry
-    /// can keep it for automatic rebuilds.
-    pub fn load_xml_with(
-        &self,
-        name: &str,
-        xml: &str,
-        config: XseedConfig,
-        retention: RetentionPolicy,
-        policy: MaintenancePolicy,
-    ) -> Result<SynopsisSnapshot, xmlkit::Error> {
-        match retention {
-            RetentionPolicy::Drop => {
-                let synopsis = XseedSynopsis::build_from_xml(xml, config)?;
-                Ok(self
-                    .insert_full(name, synopsis, None, None, policy)
-                    .expect("uncapped insert cannot be rejected"))
-            }
-            RetentionPolicy::Retain => {
-                let doc = Document::parse_str(xml)?;
-                Ok(self.load_document_with(name, &doc, config, retention, policy))
-            }
-        }
     }
 
     /// The published snapshot of `name`, if registered. This is the read
@@ -734,7 +599,10 @@ impl Catalog {
     ) -> Option<CatalogFeedback> {
         let entry = self.entry(name)?;
         let published = entry.published();
-        let estimated = published.estimate(expr);
+        let estimated = published
+            .matcher()
+            .estimate(expr, None, Mode::Point)
+            .estimate;
         // Classified against the *published* names so the unsupported
         // shortcut stays lock-free; `apply_feedback` re-derives the shape
         // under the writer lock against the live synopsis' names, so the
@@ -1021,11 +889,35 @@ mod tests {
     use super::*;
     use xpathkit::parse;
 
+    fn load_xml(catalog: &Catalog, name: &str, xml: &str) -> SynopsisSnapshot {
+        let synopsis = XseedSynopsis::build_from_xml(xml, XseedConfig::default()).unwrap();
+        catalog.insert(name, synopsis)
+    }
+
+    /// Registers `doc` with a retained copy of it.
+    fn load_retained(
+        catalog: &Catalog,
+        name: &str,
+        doc: &Document,
+        config: XseedConfig,
+        policy: MaintenancePolicy,
+    ) -> SynopsisSnapshot {
+        let synopsis = XseedSynopsis::build(doc, config);
+        catalog
+            .insert_full(name, synopsis, None, Some(Arc::new(doc.clone())), policy)
+            .unwrap()
+    }
+
+    fn est(snapshot: &SynopsisSnapshot, expr: &PathExpr) -> f64 {
+        snapshot
+            .matcher()
+            .estimate(expr, None, Mode::Point)
+            .estimate
+    }
+
     fn sample_catalog() -> Catalog {
         let catalog = Catalog::new();
-        catalog
-            .load_xml("fig2", xmlkit::samples::FIGURE2_XML, XseedConfig::default())
-            .unwrap();
+        load_xml(&catalog, "fig2", xmlkit::samples::FIGURE2_XML);
         catalog
     }
 
@@ -1036,7 +928,7 @@ mod tests {
         assert!(!catalog.is_empty());
         let snap = catalog.snapshot("fig2").unwrap();
         assert_eq!(snap.epoch(), 0);
-        assert!((snap.estimate(&parse("/a/c/s").unwrap()) - 5.0).abs() < 1e-9);
+        assert!((est(&snap, &parse("/a/c/s").unwrap()) - 5.0).abs() < 1e-9);
         assert!(catalog.snapshot("missing").is_none());
     }
 
@@ -1055,8 +947,8 @@ mod tests {
 
         assert!(fresh.epoch() > old.epoch());
         let q = parse("/a/zzz").unwrap();
-        assert_eq!(old.estimate(&q), 0.0);
-        assert!((fresh.estimate(&q) - 1.0).abs() < 1e-9);
+        assert_eq!(est(&old, &q), 0.0);
+        assert!((est(&fresh, &q) - 1.0).abs() < 1e-9);
         // The catalog now serves the fresh snapshot.
         assert_eq!(catalog.snapshot("fig2").unwrap().epoch(), fresh.epoch());
         assert!(catalog.update("missing", |_| ()).is_none());
@@ -1072,15 +964,13 @@ mod tests {
         assert_eq!(catalog.snapshot("fig2").unwrap().epoch(), 3);
         // Re-LOADing the name with a brand-new synopsis (epoch 0 on its
         // own) must publish a *later* epoch, not reset to 0.
-        let replaced = catalog
-            .load_xml("fig2", "<a><b/></a>", XseedConfig::default())
-            .unwrap();
+        let replaced = load_xml(&catalog, "fig2", "<a><b/></a>");
         assert_eq!(replaced.epoch(), 4);
         let snap = catalog.snapshot("fig2").unwrap();
         assert_eq!(snap.epoch(), 4);
         // And it really is the new document.
-        assert!((snap.estimate(&parse("/a/b").unwrap()) - 1.0).abs() < 1e-9);
-        assert_eq!(snap.estimate(&parse("/a/c/s").unwrap()), 0.0);
+        assert!((est(&snap, &parse("/a/b").unwrap()) - 1.0).abs() < 1e-9);
+        assert_eq!(est(&snap, &parse("/a/c/s").unwrap()), 0.0);
     }
 
     #[test]
@@ -1093,9 +983,7 @@ mod tests {
         assert!(catalog.snapshot("fig2").is_none());
         // Re-registering the name publishes a strictly later epoch even
         // though the entry was gone in between.
-        let snap = catalog
-            .load_xml("fig2", "<a><b/></a>", XseedConfig::default())
-            .unwrap();
+        let snap = load_xml(&catalog, "fig2", "<a><b/></a>");
         assert_eq!(snap.epoch(), 3);
     }
 
@@ -1110,7 +998,7 @@ mod tests {
         );
         let old = catalog.snapshot("fig4").unwrap();
         let q = parse("/a/b/d/e").unwrap();
-        let kernel_only = old.estimate(&q);
+        let kernel_only = est(&old, &q);
 
         let (stats, fresh) = catalog.rebuild_het("fig4", &doc).unwrap();
         assert!(stats.simple_entries > 0);
@@ -1118,8 +1006,8 @@ mod tests {
         assert!(fresh.het().is_some());
         // In-flight readers of the old snapshot are undisturbed; the new
         // snapshot answers the simple path exactly (20 = actual |/a/b/d/e|).
-        assert_eq!(old.estimate(&q).to_bits(), kernel_only.to_bits());
-        assert!((fresh.estimate(&q) - 20.0).abs() < 1e-9);
+        assert_eq!(est(&old, &q).to_bits(), kernel_only.to_bits());
+        assert!((est(&fresh, &q) - 20.0).abs() < 1e-9);
         assert_eq!(catalog.snapshot("fig4").unwrap().epoch(), fresh.epoch());
         assert!(catalog.rebuild_het("missing", &doc).is_none());
     }
@@ -1128,11 +1016,11 @@ mod tests {
     fn feedback_updates_het_and_accumulates_error_mass() {
         let catalog = Catalog::new();
         let doc = xmlkit::samples::figure4_document();
-        catalog.load_document_with(
+        load_retained(
+            &catalog,
             "fig4",
             &doc,
             XseedConfig::default(),
-            RetentionPolicy::Retain,
             MaintenancePolicy::Manual,
         );
         assert!(catalog.retained_document("fig4").is_some());
@@ -1147,8 +1035,8 @@ mod tests {
         // The published snapshot answers the fed-back query exactly; the
         // pre-feedback snapshot is untouched.
         let after = catalog.snapshot("fig4").unwrap();
-        assert!((after.estimate(&expr) - 20.0).abs() < 1e-9);
-        assert!((before.estimate(&expr) - fb.report.estimated).abs() < 1e-12);
+        assert!((est(&after, &expr) - 20.0).abs() < 1e-9);
+        assert!((est(&before, &expr) - fb.report.estimated).abs() < 1e-12);
 
         let info = &catalog.info()[0];
         assert!(info.retained);
@@ -1176,11 +1064,11 @@ mod tests {
     fn error_mass_policy_reports_due_once_and_rebuild_resets() {
         let catalog = Catalog::new();
         let doc = xmlkit::samples::figure4_document();
-        catalog.load_document_with(
+        load_retained(
+            &catalog,
             "fig4",
             &doc,
             XseedConfig::default(),
-            RetentionPolicy::Retain,
             MaintenancePolicy::ErrorMassBound(1.0),
         );
         let expr = parse("/a/b/d/e").unwrap();
@@ -1198,7 +1086,7 @@ mod tests {
         assert!(stats.simple_entries > 0);
         assert!(fresh.epoch() > epoch_before);
         // The rebuild answers the fed-back query exactly and resets drift.
-        assert!((fresh.estimate(&expr) - 20.0).abs() < 1e-9);
+        assert!((est(&fresh, &expr) - 20.0).abs() < 1e-9);
         let info = &catalog.info()[0];
         assert_eq!(info.rebuilds, 1);
         assert_eq!(info.error_mass, 0.0);
@@ -1249,11 +1137,11 @@ mod tests {
     fn feedback_batch_applies_under_one_epoch() {
         let catalog = Catalog::new();
         let doc = xmlkit::samples::figure4_document();
-        catalog.load_document_with(
+        load_retained(
+            &catalog,
             "fig4",
             &doc,
             XseedConfig::default(),
-            RetentionPolicy::Retain,
             MaintenancePolicy::ErrorMassBound(1.0),
         );
         let epoch_before = catalog.snapshot("fig4").unwrap().epoch();
@@ -1282,8 +1170,8 @@ mod tests {
         assert_eq!(info.feedback_applied, 2);
         assert_eq!(info.feedback_ignored, 1);
         let snap = catalog.snapshot("fig4").unwrap();
-        assert!((snap.estimate(&parse("/a/b/d/e").unwrap()) - 20.0).abs() < 1e-9);
-        assert!((snap.estimate(&parse("/a/c/d/f").unwrap()) - 10.0).abs() < 1e-9);
+        assert!((est(&snap, &parse("/a/b/d/e").unwrap()) - 20.0).abs() < 1e-9);
+        assert!((est(&snap, &parse("/a/c/d/f").unwrap()) - 10.0).abs() < 1e-9);
         assert!(catalog.record_feedback_batch("missing", &items).is_none());
     }
 
@@ -1291,11 +1179,11 @@ mod tests {
     fn auto_rebuild_is_superseded_by_a_concurrent_reload() {
         let catalog = Catalog::new();
         let doc = xmlkit::samples::figure4_document();
-        catalog.load_document_with(
+        load_retained(
+            &catalog,
             "fig4",
             &doc,
             XseedConfig::default(),
-            RetentionPolicy::Retain,
             MaintenancePolicy::ErrorMassBound(1.0),
         );
         let fb = catalog
@@ -1305,11 +1193,11 @@ mod tests {
         // A re-LOAD replaces the entry before the queued rebuild runs:
         // the fresh entry owes nothing, so the auto path must refuse
         // (while the explicit operator path still works).
-        catalog.load_document_with(
+        load_retained(
+            &catalog,
             "fig4",
             &doc,
             XseedConfig::default(),
-            RetentionPolicy::Retain,
             MaintenancePolicy::ErrorMassBound(1.0),
         );
         assert_eq!(
@@ -1321,18 +1209,34 @@ mod tests {
     }
 
     #[test]
-    fn load_document_arc_retains_without_cloning() {
+    fn insert_full_retains_the_arc_without_cloning() {
         let catalog = Catalog::new();
         let doc = Arc::new(xmlkit::samples::figure4_document());
-        catalog.load_document_arc(
+        let synopsis = XseedSynopsis::build(&doc, XseedConfig::default());
+        catalog.insert_full(
             "fig4",
-            doc.clone(),
-            XseedConfig::default(),
+            synopsis,
+            None,
+            Some(doc.clone()),
             MaintenancePolicy::Manual,
         );
         let retained = catalog.retained_document("fig4").unwrap();
         assert!(Arc::ptr_eq(&doc, &retained), "the Arc itself is retained");
         assert!(catalog.rebuild_het_retained("fig4").is_ok());
+    }
+
+    #[test]
+    fn insert_full_caps_new_names_but_not_replacements() {
+        let catalog = sample_catalog();
+        let tiny = || XseedSynopsis::build_from_xml("<r/>", XseedConfig::default()).unwrap();
+        let manual = MaintenancePolicy::Manual;
+        assert!(catalog
+            .insert_full("new", tiny(), Some(1), None, manual)
+            .is_none());
+        assert!(catalog
+            .insert_full("fig2", tiny(), Some(1), None, manual)
+            .is_some());
+        assert_eq!(catalog.len(), 1);
     }
 
     #[test]
@@ -1361,11 +1265,11 @@ mod tests {
     fn rebuild_strategy_is_configurable() {
         let catalog = Catalog::new();
         let doc = xmlkit::samples::figure4_document();
-        catalog.load_document_with(
+        load_retained(
+            &catalog,
             "fig4",
             &doc,
             XseedConfig::default().with_bsel_threshold(0.99),
-            RetentionPolicy::Retain,
             MaintenancePolicy::Manual,
         );
         assert!(catalog.set_rebuild_strategy("fig4", xseed_core::TopKErrorStrategy { k: 1 }));
@@ -1377,9 +1281,7 @@ mod tests {
     #[test]
     fn info_reports_entries() {
         let catalog = sample_catalog();
-        catalog
-            .load_xml("tiny", "<r><x/></r>", XseedConfig::default())
-            .unwrap();
+        load_xml(&catalog, "tiny", "<r><x/></r>");
         let info = catalog.info();
         assert_eq!(info.len(), 2);
         assert_eq!(info[0].name, "fig2");

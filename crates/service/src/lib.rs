@@ -12,13 +12,21 @@
 //!   [`xseed_core::SynopsisSnapshot`]s. Readers clone an `Arc` and never
 //!   lock again; writers mutate the synopsis and publish a fresh snapshot,
 //!   so in-flight estimates keep answering from their own consistent
-//!   pre-update state.
+//!   pre-update state. Three calls register a synopsis:
+//!   [`Catalog::insert`], [`Catalog::load_document`], and
+//!   [`Catalog::insert_full`] for a document cap, a retained document or
+//!   a maintenance policy.
 //! * [`plan_cache`] — a sharded LRU [`PlanCache`] from query text to
 //!   parsed-and-classified [`xpathkit::QueryPlan`]s, so repeated queries
 //!   skip the parser across all worker threads without a global lock.
-//! * [`batch`] — the batch executor: one snapshot pass per batch via the
-//!   snapshot's shared frontier memo (the traveler's expansion recorded
-//!   once per epoch, replayed per query).
+//! * [`batch`] — the batch executor, [`execute_batch`]: one matcher per
+//!   batch from [`xseed_core::SynopsisSnapshot::matcher_for_batch`], which
+//!   replays the snapshot's shared frontier memo (the traveler's expansion
+//!   recorded once per epoch) for batches and takes the cold streaming
+//!   pass for single queries. Each plan is one plan-keyed
+//!   [`xseed_core::StreamingMatcher::estimate`] call. `EST … mode=bound`
+//!   makes the same call with [`xseed_core::Mode::Bound`] on the calling
+//!   thread ([`Service::estimate_bound`]).
 //! * [`service`] — the [`Service`] front end: a worker thread pool with
 //!   per-worker **bounded** request queues, admission control that sheds
 //!   excess load with [`ServiceError::Overloaded`], and work stealing,
@@ -118,10 +126,10 @@ pub mod server;
 pub mod service;
 pub mod trace;
 
-pub use batch::{execute_batch, execute_batch_observed, FeedbackItem};
+pub use batch::{execute_batch, FeedbackItem};
 pub use catalog::{
     Catalog, CatalogFeedback, CatalogFeedbackBatch, DocumentInfo, MaintenancePolicy, RebuildError,
-    RetentionPolicy, SnapshotError,
+    SnapshotError,
 };
 pub use limiter::{RateLimiter, TokenBucket};
 pub use metrics::{format_milli_q, q_error_milli, Histogram, HistogramSnapshot, Obs, Stage};

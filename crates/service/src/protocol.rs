@@ -477,10 +477,10 @@ fn handle_est(service: &Service, args: &str) -> Response {
             return Response::err(format_args!("unknown EST mode '{mode}' (supported: bound)"));
         }
         return match service.estimate_bound(name, query.trim()) {
-            Ok(be) => Response::ok(format!(
+            Ok(outcome) => Response::ok(format!(
                 "est={} bound={}",
-                format_est(be.estimate),
-                format_est(be.bound)
+                format_est(outcome.estimate),
+                format_est(outcome.bound.unwrap_or(outcome.estimate))
             )),
             Err(e) => Response::service_err(e),
         };
@@ -993,9 +993,11 @@ mod tests {
 
     fn service() -> Service {
         let catalog = Arc::new(Catalog::new());
-        catalog
-            .load_xml("fig2", xmlkit::samples::FIGURE2_XML, XseedConfig::default())
-            .unwrap();
+        catalog.insert(
+            "fig2",
+            XseedSynopsis::build_from_xml(xmlkit::samples::FIGURE2_XML, XseedConfig::default())
+                .unwrap(),
+        );
         Service::new(catalog, ServiceConfig::with_workers(2))
     }
 
@@ -1107,6 +1109,22 @@ mod tests {
             .starts_with("ERR unknown LOAD flag"));
         assert!(reply(&service, "LOAD x file:/tmp/nope.xsnap partitions=2")
             .starts_with("ERR partitions= does not apply to file: snapshots"));
+    }
+
+    #[test]
+    fn self_and_parent_steps_are_parse_errors_not_silent_zeros() {
+        // XPath counts one `b` with a `c` descendant here. The self and
+        // parent steps are unsupported, so they must be parse errors, not
+        // child steps named "." / ".." that estimate 0.
+        let catalog = Arc::new(Catalog::new());
+        let synopsis =
+            XseedSynopsis::build_from_xml("<a><b><c/></b><b/></a>", XseedConfig::default())
+                .unwrap();
+        catalog.insert("d", synopsis);
+        let service = Service::new(catalog, ServiceConfig::with_workers(1));
+        assert_eq!(reply(&service, "EST d //b[c]"), "OK 1");
+        assert!(reply(&service, "EST d //b[.//c]").starts_with("ERR parse error"));
+        assert!(reply(&service, "EST d /a/b/..").starts_with("ERR parse error"));
     }
 
     #[test]
@@ -1356,9 +1374,11 @@ mod tests {
     #[test]
     fn overloaded_batches_get_the_structured_reply() {
         let catalog = Arc::new(Catalog::new());
-        catalog
-            .load_xml("fig2", xmlkit::samples::FIGURE2_XML, XseedConfig::default())
-            .unwrap();
+        catalog.insert(
+            "fig2",
+            XseedSynopsis::build_from_xml(xmlkit::samples::FIGURE2_XML, XseedConfig::default())
+                .unwrap(),
+        );
         let service = Service::new(
             catalog,
             ServiceConfig::with_workers(1).with_queue_capacity(4),
@@ -1460,9 +1480,11 @@ mod tests {
     #[test]
     fn observability_off_disables_the_obs_surface() {
         let catalog = Arc::new(Catalog::new());
-        catalog
-            .load_xml("fig2", xmlkit::samples::FIGURE2_XML, XseedConfig::default())
-            .unwrap();
+        catalog.insert(
+            "fig2",
+            XseedSynopsis::build_from_xml(xmlkit::samples::FIGURE2_XML, XseedConfig::default())
+                .unwrap(),
+        );
         let service = Service::new(
             catalog,
             ServiceConfig::with_workers(1).with_observability(false),

@@ -642,13 +642,15 @@ mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use crate::service::ServiceConfig;
-    use xseed_core::XseedConfig;
+    use xseed_core::{XseedConfig, XseedSynopsis};
 
     fn service() -> Arc<Service> {
         let catalog = Arc::new(Catalog::new());
-        catalog
-            .load_xml("fig2", xmlkit::samples::FIGURE2_XML, XseedConfig::default())
-            .unwrap();
+        catalog.insert(
+            "fig2",
+            XseedSynopsis::build_from_xml(xmlkit::samples::FIGURE2_XML, XseedConfig::default())
+                .unwrap(),
+        );
         Arc::new(Service::new(catalog, ServiceConfig::with_workers(1)))
     }
 

@@ -51,7 +51,7 @@
 //! are counted (`feedback_applied` / `feedback_ignored` /
 //! `rebuilds_triggered` in [`ServiceStats`]).
 
-use crate::batch::{execute_batch_bound, execute_batch_observed, FeedbackItem};
+use crate::batch::{execute_batch_observed, FeedbackItem};
 use crate::catalog::{Catalog, CatalogFeedbackBatch, RebuildError, SnapshotError};
 use crate::metrics::{Obs, Stage};
 use crate::persist::WarmStart;
@@ -65,7 +65,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use xpathkit::{ParseError, QueryPlan};
 use xseed_core::SynopsisSnapshot;
-use xseed_core::{BoundedEstimate, FeedbackOutcome, FeedbackReport, HetBuildStats};
+use xseed_core::{FeedbackOutcome, FeedbackReport, HetBuildStats, Mode, Outcome};
 
 /// Fallback interval at which an idle worker re-checks its siblings'
 /// queues for stealable work. Pushes notify the target queue *and* one
@@ -974,25 +974,25 @@ impl Service {
     }
 
     /// Estimates one query in **bound mode**: the point estimate paired
-    /// with a guaranteed upper bound on the true cardinality (see
-    /// [`xseed_core::StreamingMatcher::estimate_bound`]). Runs through the
-    /// batch executor on the calling thread, admission-controlled like an
-    /// estimate — it reserves one query of queue budget and sheds with
-    /// [`ServiceError::Overloaded`] when the service is saturated.
-    pub fn estimate_bound(&self, doc: &str, query: &str) -> Result<BoundedEstimate, ServiceError> {
+    /// with a guaranteed upper bound on the true cardinality in
+    /// [`Outcome::bound`] (see [`xseed_core::Mode::Bound`]). Runs on the
+    /// calling thread through the snapshot's single-query matcher,
+    /// admission-controlled like an estimate — it reserves one query of
+    /// queue budget and sheds with [`ServiceError::Overloaded`] when the
+    /// service is saturated.
+    pub fn estimate_bound(&self, doc: &str, query: &str) -> Result<Outcome, ServiceError> {
         let snapshot = self.resolve(doc)?;
         let plan = self.plans.get_or_parse(query)?;
         let queue = self.admit_inline(1)?;
         let started = Instant::now();
-        let bounded = execute_batch_bound(&snapshot, std::slice::from_ref(&plan), 1);
+        let outcome = snapshot
+            .matcher()
+            .estimate(plan.expr(), Some(plan.id()), Mode::Bound);
         if let Some(obs) = &self.obs {
             obs.record(Stage::Estimate, started.elapsed());
         }
         self.shared.release(queue, 1);
-        Ok(bounded
-            .into_iter()
-            .next()
-            .expect("one plan in, one bounded estimate out"))
+        Ok(outcome)
     }
 
     /// Folds one applied feedback observation into the global q-error
@@ -1288,9 +1288,11 @@ mod tests {
 
     fn fig2_service(workers: usize) -> Service {
         let catalog = Arc::new(Catalog::new());
-        catalog
-            .load_xml("fig2", xmlkit::samples::FIGURE2_XML, XseedConfig::default())
-            .unwrap();
+        catalog.insert(
+            "fig2",
+            XseedSynopsis::build_from_xml(xmlkit::samples::FIGURE2_XML, XseedConfig::default())
+                .unwrap(),
+        );
         Service::new(catalog, ServiceConfig::with_workers(workers))
     }
 
@@ -1373,11 +1375,19 @@ mod tests {
             let point = service.estimate("fig2", q).unwrap();
             let be = service.estimate_bound("fig2", q).unwrap();
             assert!((be.estimate - point).abs() < 1e-9, "{q}");
-            assert!(be.bound >= be.estimate, "{q}");
+            assert!(be.bound.unwrap() >= be.estimate, "{q}");
         }
         // //* bounds exactly at the document size (per-label totals are
-        // exact); unknown documents still error.
-        assert_eq!(service.estimate_bound("fig2", "//*").unwrap().bound, 36.0);
+        // exact), an absent label bounds exactly 0, and unknown documents
+        // still error.
+        assert_eq!(
+            service.estimate_bound("fig2", "//*").unwrap().bound,
+            Some(36.0)
+        );
+        assert_eq!(
+            service.estimate_bound("fig2", "/a/zzz").unwrap().bound,
+            Some(0.0)
+        );
         assert!(matches!(
             service.estimate_bound("nope", "/a"),
             Err(ServiceError::UnknownDocument(_))
@@ -1386,9 +1396,11 @@ mod tests {
 
     fn fig2_service_with(config: ServiceConfig) -> Service {
         let catalog = Arc::new(Catalog::new());
-        catalog
-            .load_xml("fig2", xmlkit::samples::FIGURE2_XML, XseedConfig::default())
-            .unwrap();
+        catalog.insert(
+            "fig2",
+            XseedSynopsis::build_from_xml(xmlkit::samples::FIGURE2_XML, XseedConfig::default())
+                .unwrap(),
+        );
         Service::new(catalog, config)
     }
 
@@ -1474,14 +1486,14 @@ mod tests {
 
     #[test]
     fn feedback_applies_and_triggers_auto_rebuild() {
-        use crate::catalog::{MaintenancePolicy, RetentionPolicy};
+        use crate::catalog::MaintenancePolicy;
         let catalog = Arc::new(Catalog::new());
         let doc = xmlkit::samples::figure4_document();
-        catalog.load_document_with(
+        catalog.insert_full(
             "fig4",
-            &doc,
-            xseed_core::XseedConfig::default(),
-            RetentionPolicy::Retain,
+            XseedSynopsis::build(&doc, xseed_core::XseedConfig::default()),
+            None,
+            Some(Arc::new(doc.clone())),
             MaintenancePolicy::ErrorMassBound(1.0),
         );
         let service = Service::new(catalog, ServiceConfig::with_workers(2));
@@ -1522,14 +1534,14 @@ mod tests {
 
     #[test]
     fn feedback_batch_counts_and_publishes_once() {
-        use crate::catalog::{MaintenancePolicy, RetentionPolicy};
+        use crate::catalog::MaintenancePolicy;
         let catalog = Arc::new(Catalog::new());
         let doc = xmlkit::samples::figure4_document();
-        catalog.load_document_with(
+        catalog.insert_full(
             "fig4",
-            &doc,
-            xseed_core::XseedConfig::default(),
-            RetentionPolicy::Retain,
+            XseedSynopsis::build(&doc, xseed_core::XseedConfig::default()),
+            None,
+            Some(Arc::new(doc.clone())),
             MaintenancePolicy::ErrorMassBound(1.0),
         );
         let service = Service::new(catalog.clone(), ServiceConfig::with_workers(1));
@@ -1590,14 +1602,14 @@ mod tests {
 
     #[test]
     fn pause_maintenance_defers_rebuilds_until_released() {
-        use crate::catalog::{MaintenancePolicy, RetentionPolicy};
+        use crate::catalog::MaintenancePolicy;
         let catalog = Arc::new(Catalog::new());
         let doc = xmlkit::samples::figure4_document();
-        catalog.load_document_with(
+        catalog.insert_full(
             "fig4",
-            &doc,
-            xseed_core::XseedConfig::default(),
-            RetentionPolicy::Retain,
+            XseedSynopsis::build(&doc, xseed_core::XseedConfig::default()),
+            None,
+            Some(Arc::new(doc.clone())),
             MaintenancePolicy::ErrorMassBound(0.5),
         );
         let service = Service::new(catalog.clone(), ServiceConfig::with_workers(1));
@@ -1626,14 +1638,14 @@ mod tests {
 
     #[test]
     fn rebuild_ticket_reports_missing_retention() {
-        use crate::catalog::{MaintenancePolicy, RetentionPolicy};
+        use crate::catalog::MaintenancePolicy;
         let catalog = Arc::new(Catalog::new());
         let doc = xmlkit::samples::figure4_document();
-        catalog.load_document_with(
+        catalog.insert_full(
             "fig4",
-            &doc,
-            xseed_core::XseedConfig::default(),
-            RetentionPolicy::Retain,
+            XseedSynopsis::build(&doc, xseed_core::XseedConfig::default()),
+            None,
+            Some(Arc::new(doc.clone())),
             MaintenancePolicy::ErrorMassBound(0.5),
         );
         let service = Service::new(catalog.clone(), ServiceConfig::with_workers(1));

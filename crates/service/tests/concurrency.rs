@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use std::thread;
 use xpathkit::PathExpr;
-use xseed_core::{SynopsisSnapshot, XseedConfig, XseedSynopsis};
+use xseed_core::{Mode, SynopsisSnapshot, XseedConfig, XseedSynopsis};
 use xseed_service::{Catalog, PlanCache, Service, ServiceConfig};
 
 use datagen::{Dataset, WorkloadGenerator, WorkloadSpec};
@@ -41,7 +41,7 @@ fn assert_threads_bit_identical(dataset: Dataset, scale: f64) {
         let mut matcher = snapshot.matcher();
         queries
             .iter()
-            .map(|q| matcher.estimate(q).to_bits())
+            .map(|q| matcher.estimate(q, None, Mode::Point).estimate.to_bits())
             .collect()
     };
 
@@ -55,13 +55,13 @@ fn assert_threads_bit_identical(dataset: Dataset, scale: f64) {
                     // Half the threads use the shared-memo batch path, half
                     // the cold streaming path — both must agree bit-exactly.
                     let mut matcher = if i % 2 == 0 {
-                        snapshot.batch_matcher()
+                        snapshot.matcher_for_batch(queries.len())
                     } else {
                         snapshot.matcher()
                     };
                     queries
                         .iter()
-                        .map(|q| matcher.estimate(q).to_bits())
+                        .map(|q| matcher.estimate(q, None, Mode::Point).estimate.to_bits())
                         .collect::<Vec<u64>>()
                 })
             })
@@ -129,7 +129,10 @@ fn updates_do_not_disturb_inflight_snapshots() {
     let published = catalog.insert("dblp", synopsis);
     let reference: Vec<u64> = queries
         .iter()
-        .map(|q| published.estimate(q).to_bits())
+        .map(|q| {
+            let out = published.matcher().estimate(q, None, Mode::Point);
+            out.estimate.to_bits()
+        })
         .collect();
 
     thread::scope(|scope| {
@@ -143,7 +146,10 @@ fn updates_do_not_disturb_inflight_snapshots() {
                     for _ in 0..3 {
                         let mut matcher = snapshot.matcher();
                         for (q, expected) in queries.iter().zip(reference) {
-                            assert_eq!(matcher.estimate(q).to_bits(), *expected);
+                            assert_eq!(
+                                matcher.estimate(q, None, Mode::Point).estimate.to_bits(),
+                                *expected
+                            );
                         }
                     }
                 })
@@ -255,7 +261,7 @@ fn compiled_cache_concurrent_churn_is_bit_exact() {
         let mut matcher = snapshot.matcher();
         queries
             .iter()
-            .map(|q| matcher.estimate(q).to_bits())
+            .map(|q| matcher.estimate(q, None, Mode::Point).estimate.to_bits())
             .collect()
     };
 
@@ -270,7 +276,10 @@ fn compiled_cache_concurrent_churn_is_bit_exact() {
                     for i in 0..plans.len() {
                         let i = (i + t * 11 + round) % plans.len();
                         assert_eq!(
-                            matcher.estimate_plan(&plans[i]).to_bits(),
+                            matcher
+                                .estimate(plans[i].expr(), Some(plans[i].id()), Mode::Point)
+                                .estimate
+                                .to_bits(),
                             reference[i],
                             "{}",
                             plans[i].text()
@@ -338,7 +347,8 @@ mod compiled_cache_properties {
                 snapshot.config(),
                 snapshot.het(),
             )
-            .estimate(&expr);
+            .estimate(&expr, None, Mode::Point)
+            .estimate;
             prop_assert_eq!(
                 served.to_bits(),
                 fresh.to_bits(),

@@ -7,17 +7,17 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use xpathkit::parse;
-use xseed_core::{FeedbackOutcome, XseedConfig, XseedSynopsis};
-use xseed_service::{Catalog, MaintenancePolicy, RetentionPolicy, Service, ServiceConfig};
+use xseed_core::{FeedbackOutcome, Mode, XseedConfig, XseedSynopsis};
+use xseed_service::{Catalog, MaintenancePolicy, Service, ServiceConfig};
 
 fn fig4_service(bound: f64, workers: usize) -> (Arc<Catalog>, Service) {
     let catalog = Arc::new(Catalog::new());
     let doc = xmlkit::samples::figure4_document();
-    catalog.load_document_with(
+    catalog.insert_full(
         "fig4",
-        &doc,
-        XseedConfig::default(),
-        RetentionPolicy::Retain,
+        XseedSynopsis::build(&doc, XseedConfig::default()),
+        None,
+        Some(Arc::new(doc.clone())),
         MaintenancePolicy::ErrorMassBound(bound),
     );
     let service = Service::new(catalog.clone(), ServiceConfig::with_workers(workers));
@@ -122,7 +122,10 @@ fn concurrent_estimates_race_feedback_rebuild_consistently() {
                             "reader {reader}: epoch ran backwards ({last_epoch} -> {epoch})"
                         );
                         last_epoch = epoch;
-                        let est = snap.estimate(&parse(q).unwrap());
+                        let est = snap
+                            .matcher()
+                            .estimate(&parse(q).unwrap(), None, Mode::Point)
+                            .estimate;
                         let want = expected
                             .get(&(epoch, q))
                             .unwrap_or_else(|| panic!("reader {reader}: epoch {epoch}?"));

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 use std::thread;
-use xseed_core::{XseedConfig, XseedSynopsis};
+use xseed_core::{Mode, XseedConfig, XseedSynopsis};
 use xseed_service::{Catalog, PendingEstimate, Service, ServiceConfig, ServiceError};
 
 use datagen::{Dataset, WorkloadGenerator, WorkloadSpec};
@@ -40,7 +40,12 @@ fn fenced_flood_sheds_exactly_the_overflow_and_preserves_estimates() {
         let mut matcher = snapshot.matcher();
         texts
             .iter()
-            .map(|t| matcher.estimate(&xpathkit::parse(t).unwrap()).to_bits())
+            .map(|t| {
+                matcher
+                    .estimate(&xpathkit::parse(t).unwrap(), None, Mode::Point)
+                    .estimate
+                    .to_bits()
+            })
             .collect()
     };
     let service = Service::new(
@@ -103,7 +108,12 @@ fn concurrent_flood_stays_bounded_and_bit_exact() {
         let mut matcher = snapshot.matcher();
         texts
             .iter()
-            .map(|t| matcher.estimate(&xpathkit::parse(t).unwrap()).to_bits())
+            .map(|t| {
+                matcher
+                    .estimate(&xpathkit::parse(t).unwrap(), None, Mode::Point)
+                    .estimate
+                    .to_bits()
+            })
             .collect()
     };
     let service = Service::new(

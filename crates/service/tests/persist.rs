@@ -10,7 +10,7 @@
 
 use datagen::{Dataset, WorkloadGenerator, WorkloadSpec};
 use std::sync::Arc;
-use xseed_core::{XseedConfig, XseedSynopsis};
+use xseed_core::{Mode, XseedConfig, XseedSynopsis};
 use xseed_service::protocol::{handle_line, ProtocolOptions};
 use xseed_service::{warm_start, Catalog, Service, ServiceConfig};
 
@@ -85,8 +85,16 @@ fn reloaded_snapshots_estimate_bit_identically() {
         );
         for query in workload.all() {
             assert_eq!(
-                original.estimate(query).to_bits(),
-                restored.estimate(query).to_bits(),
+                original
+                    .matcher()
+                    .estimate(query, None, Mode::Point)
+                    .estimate
+                    .to_bits(),
+                restored
+                    .matcher()
+                    .estimate(query, None, Mode::Point)
+                    .estimate
+                    .to_bits(),
                 "{}: estimate for {query} drifted through the snapshot",
                 scenario.name
             );
@@ -103,10 +111,11 @@ fn retained_document_spills_and_restores() {
     let doc = xmlkit::samples::figure4_document();
     let catalog = Catalog::new();
     let synopsis = XseedSynopsis::build(&doc, XseedConfig::default());
-    catalog.insert_retained(
+    catalog.insert_full(
         "fig4",
         synopsis,
-        Arc::new(doc.clone()),
+        None,
+        Some(Arc::new(doc.clone())),
         xseed_service::MaintenancePolicy::Manual,
     );
     let path = dir.join("fig4.xsnap");

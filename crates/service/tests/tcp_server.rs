@@ -8,19 +8,18 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
+use xseed_core::{XseedConfig, XseedSynopsis};
 use xseed_service::{Catalog, ServerConfig, Service, ServiceConfig, TcpServer};
 
 /// Starts a server on an ephemeral port and leaks its accept thread (it
 /// blocks in `accept` for the life of the test process).
 fn spawn_server(config: ServerConfig) -> std::net::SocketAddr {
     let catalog = Arc::new(Catalog::new());
-    catalog
-        .load_xml(
-            "fig2",
-            xmlkit::samples::FIGURE2_XML,
-            xseed_core::XseedConfig::default(),
-        )
-        .unwrap();
+    catalog.insert(
+        "fig2",
+        XseedSynopsis::build_from_xml(xmlkit::samples::FIGURE2_XML, XseedConfig::default())
+            .unwrap(),
+    );
     let service = Arc::new(Service::new(catalog, ServiceConfig::with_workers(2)));
     let server = TcpServer::bind("127.0.0.1:0", config).expect("bind ephemeral port");
     let addr = server.local_addr().unwrap();

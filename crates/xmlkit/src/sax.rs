@@ -423,8 +423,11 @@ impl<'a> SaxParser<'a> {
 
     fn read_name(&mut self) -> Result<String> {
         let start = self.pos;
-        while self.pos < self.input.len() && is_name_byte(self.peek()) {
+        if self.pos < self.input.len() && is_name_start(self.peek()) {
             self.pos += 1;
+            while self.pos < self.input.len() && is_name_byte(self.peek()) {
+                self.pos += 1;
+            }
         }
         if self.pos == start {
             return Err(Error::Syntax {
@@ -479,6 +482,13 @@ impl<'a> SaxParser<'a> {
             }),
         }
     }
+}
+
+/// Returns true for bytes that may start (our subset of) XML names: a
+/// name cannot begin with a digit, `-` or `.`.
+#[inline]
+fn is_name_start(b: u8) -> bool {
+    b.is_ascii_alphabetic() || matches!(b, b'_' | b':')
 }
 
 /// Returns true for bytes allowed in (our subset of) XML names.
@@ -734,6 +744,15 @@ mod tests {
             .collect_events()
             .unwrap_err();
         assert!(matches!(err, Error::Syntax { .. }));
+    }
+
+    #[test]
+    fn names_cannot_start_with_a_digit_dash_or_dot() {
+        for xml in ["<1a/>", "<-a/>", "<.a/>", "<a><.b/></a>", "<a .x='1'/>"] {
+            let err = SaxParser::new(xml).collect_events().unwrap_err();
+            assert!(matches!(err, Error::Syntax { .. }), "{xml}");
+        }
+        assert_eq!(events("<_a1.b-c/>").len(), 2);
     }
 
     #[test]

@@ -31,8 +31,10 @@ pub struct SpannedToken {
 /// Tokenizes a path expression string.
 ///
 /// Whitespace between tokens is permitted and skipped. Names follow the
-/// same rules as XML element names in `xmlkit` (ASCII letters, digits,
-/// `_`, `-`, `.`, `:`).
+/// same rules as XML element names in `xmlkit`: they start with an ASCII
+/// letter, `_` or `:` and continue with those, digits, `-` or `.`. So the
+/// abbreviated steps `.` and `..`, which this subset does not support, are
+/// syntax errors rather than child steps named `"."` or `".."`.
 pub fn tokenize(input: &str) -> Result<Vec<SpannedToken>> {
     let bytes = input.as_bytes();
     let mut tokens = Vec::new();
@@ -79,7 +81,7 @@ pub fn tokenize(input: &str) -> Result<Vec<SpannedToken>> {
                 });
                 pos += 1;
             }
-            _ if is_name_byte(b) => {
+            _ if is_name_start(b) => {
                 let start = pos;
                 while pos < bytes.len() && is_name_byte(bytes[pos]) {
                     pos += 1;
@@ -101,6 +103,11 @@ pub fn tokenize(input: &str) -> Result<Vec<SpannedToken>> {
         }
     }
     Ok(tokens)
+}
+
+#[inline]
+fn is_name_start(b: u8) -> bool {
+    b.is_ascii_alphabetic() || matches!(b, b'_' | b':')
 }
 
 #[inline]
@@ -179,6 +186,23 @@ mod tests {
         assert_eq!(
             toks("/ns:elem-name.x"),
             vec![Token::Slash, Token::Name("ns:elem-name.x".into())]
+        );
+    }
+
+    #[test]
+    fn self_and_parent_steps_are_errors_not_names() {
+        // A name cannot start with `.`, so the unsupported self and parent
+        // steps are errors, not child steps named "." and ".." that would
+        // estimate a silent 0.
+        for (query, offset) in [("//b[.//c]", 4), ("/a/b/..", 5), ("/.", 1), ("/a/-b", 3)] {
+            let err = tokenize(query).unwrap_err();
+            assert_eq!(err.offset, offset, "{query}");
+            assert!(crate::parse(query).is_err(), "{query}");
+        }
+        // Digits, `-` and `.` remain fine after the first byte.
+        assert_eq!(
+            toks("/_a1.b-c"),
+            vec![Token::Slash, Token::Name("_a1.b-c".into())]
         );
     }
 

@@ -64,9 +64,9 @@ fn main() {
     println!(
         "epoch {} sees /site/audit_log ~ {:.1}; epoch {} still sees {:.1}",
         fresh.epoch(),
-        fresh.estimate(&q),
+        fresh.matcher().estimate(&q, None, Mode::Point).estimate,
         old.epoch(),
-        old.estimate(&q)
+        old.matcher().estimate(&q, None, Mode::Point).estimate
     );
 
     // Admission control: a batch larger than the whole queue budget is

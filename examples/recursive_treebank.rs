@@ -30,14 +30,17 @@ fn main() {
         sketch.size_bytes()
     );
     let ept_len = synopsis.estimator().ept_len();
-    let report = synopsis.estimate_with_stats(&parse_query("//S").unwrap());
+    let report =
+        synopsis
+            .streaming_matcher()
+            .estimate(&parse_query("//S").unwrap(), None, Mode::Point);
     println!(
         "Expanded path tree: {} nodes for a {}-element document ({:.2}%); \
          //S visits {} of them\n",
         ept_len,
         doc.element_count(),
         100.0 * ept_len as f64 / doc.element_count() as f64,
-        report.ept_nodes
+        report.visited
     );
 
     let storage = NokStorage::from_document(&doc);

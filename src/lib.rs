@@ -55,6 +55,6 @@ pub mod prelude {
     pub use xmlkit::{Document, SaxParser};
     pub use xpathkit::parse as parse_query;
     pub use xpathkit::{PathExpr, QueryClass, QueryPlan};
-    pub use xseed_core::{SynopsisSnapshot, XseedConfig, XseedSynopsis};
+    pub use xseed_core::{Mode, SynopsisSnapshot, XseedConfig, XseedSynopsis};
     pub use xseed_service::{Catalog, Service, ServiceConfig, ServiceError};
 }

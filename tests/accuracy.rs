@@ -128,8 +128,9 @@ fn measure(scenario: &Scenario) -> Measured {
     let rows: Vec<(String, f64, f64, u64)> = workload
         .all()
         .map(|q| {
-            let be = matcher.estimate_bound(q);
-            (q.to_string(), be.estimate, be.bound, eval.count(q))
+            let out = matcher.estimate(q, None, Mode::Bound);
+            let bound = out.bound.expect("bound mode reports a bound");
+            (q.to_string(), out.estimate, bound, eval.count(q))
         })
         .collect();
 

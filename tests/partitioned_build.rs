@@ -77,8 +77,14 @@ fn assert_partitioned_build_matches(doc: &Document, config: &XseedConfig, label:
         let mut part_matcher = part.streaming_matcher();
         for query in workload.all() {
             assert_eq!(
-                part_matcher.estimate(query).to_bits(),
-                mono_matcher.estimate(query).to_bits(),
+                part_matcher
+                    .estimate(query, None, Mode::Point)
+                    .estimate
+                    .to_bits(),
+                mono_matcher
+                    .estimate(query, None, Mode::Point)
+                    .estimate
+                    .to_bits(),
                 "{label}: estimate for {query} diverges at partitions={partitions}"
             );
         }

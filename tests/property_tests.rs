@@ -287,7 +287,7 @@ proptest! {
                 let mut streaming = synopsis.streaming_matcher();
                 for query in &queries {
                     let expected = oracle.estimate(query);
-                    let got = streaming.estimate(query);
+                    let got = streaming.estimate(query, None, Mode::Point).estimate;
                     prop_assert!(
                         close(expected, got),
                         "{} (het: {}): streaming {} != materialized {}",
@@ -330,16 +330,17 @@ proptest! {
             for synopsis in [&bare, &with_het] {
                 for query in &queries {
                     let actual = evaluator.count(query) as f64;
-                    let be = synopsis.estimate_bound(query);
+                    let be = synopsis.streaming_matcher().estimate(query, None, Mode::Bound);
+                    let bound = be.bound.expect("bound mode reports a bound");
                     prop_assert!(
-                        be.bound + 1e-9 >= actual,
+                        bound + 1e-9 >= actual,
                         "{} (config {}, het: {}): bound {} < true cardinality {}",
-                        query, i, synopsis.het().is_some(), be.bound, actual
+                        query, i, synopsis.het().is_some(), bound, actual
                     );
                     prop_assert!(
-                        be.bound + 1e-9 >= be.estimate,
+                        bound + 1e-9 >= be.estimate,
                         "{} (config {}, het: {}): bound {} < point estimate {}",
-                        query, i, synopsis.het().is_some(), be.bound, be.estimate
+                        query, i, synopsis.het().is_some(), bound, be.estimate
                     );
                 }
             }
@@ -537,7 +538,7 @@ fn streaming_matches_materialized_on_datagen_workloads() {
             let mut streaming = synopsis.streaming_matcher();
             for query in workload.all() {
                 let expected = oracle.estimate(query);
-                let got = streaming.estimate(query);
+                let got = streaming.estimate(query, None, Mode::Point).estimate;
                 assert!(
                     close(expected, got),
                     "{dataset:?} {query} (het: {}): streaming {got} != materialized {expected}",
