@@ -8,7 +8,7 @@
 //! pattern). Also measures the per-snapshot **compiled-query cache**
 //! (batched passes with `estimate_plan` vs compiling every estimate from
 //! its expression) and the **overload** fast-fail path (shed-decision
-//! latency and bound enforcement with the worker fenced). The **netloop**
+//! latency and bound enforcement with the workers fenced). The **netloop**
 //! rows push mixed hot/flood traffic and a high-connection idle soak
 //! through the real nonblocking TCP event loop, pricing per-client
 //! rate-limiter fairness and per-idle-connection memory (the numbers
@@ -248,50 +248,58 @@ struct OverloadResult {
     shed: usize,
     peak_queued: usize,
     shed_decision_ns: f64,
-    drained_ok: bool,
 }
 
-/// Floods a 1-worker service (fenced, so admission is deterministic) past
-/// its queue budget and measures the shed fast-fail path.
+/// Fills a fenced 2-worker service's whole queue budget with one 2-chunk
+/// batch (issued from a helper thread, since it waits on the fenced
+/// workers), then floods it with single estimates and measures the shed
+/// fast-fail path.
 fn overload_scenario(synopsis: &XseedSynopsis, doc: &'static str, query: &str) -> OverloadResult {
-    const CAPACITY: usize = 64;
+    const WORKERS: usize = 2;
+    const CAPACITY: usize = 32;
+    const BUDGET: usize = WORKERS * CAPACITY;
     const FLOOD: usize = 50_000;
     let catalog = Arc::new(Catalog::new());
     catalog.insert(doc, synopsis.clone());
     let service = Service::new(
         catalog,
-        ServiceConfig::with_workers(1).with_queue_capacity(CAPACITY),
+        ServiceConfig::with_workers(WORKERS).with_queue_capacity(CAPACITY),
     );
-    let pause = service.pause_worker(0);
-    pause.wait_until_paused();
-
-    let mut pendings = Vec::with_capacity(CAPACITY);
-    // Fill the budget first so the timed loop below measures pure sheds.
-    for _ in 0..CAPACITY {
-        pendings.push(service.submit(doc, query).expect("budget not full yet"));
-    }
-    let start = Instant::now();
-    for _ in 0..FLOOD {
-        match service.submit(doc, query) {
-            Ok(p) => pendings.push(p),
-            Err(ServiceError::Overloaded { .. }) => {}
-            Err(e) => panic!("unexpected error: {e}"),
+    let pauses: Vec<_> = (0..WORKERS).map(|w| service.pause_worker(w)).collect();
+    pauses.iter().for_each(|pause| pause.wait_until_paused());
+    let held = vec![query; BUDGET];
+    std::thread::scope(|scope| {
+        let batch = scope.spawn(|| service.estimate_batch(doc, &held));
+        // Wait until the batch holds the budget, so the timed loop below
+        // measures pure sheds.
+        while service.stats().queued < BUDGET {
+            assert!(!batch.is_finished(), "the held batch did not queue");
+            std::thread::yield_now();
         }
-    }
-    let shed_decision_ns = start.elapsed().as_nanos() as f64 / FLOOD as f64;
+        let start = Instant::now();
+        for _ in 0..FLOOD {
+            match service.estimate(doc, query) {
+                Err(ServiceError::Overloaded { .. }) => {}
+                other => panic!("expected a shed, got {other:?}"),
+            }
+        }
+        let shed_decision_ns = start.elapsed().as_nanos() as f64 / FLOOD as f64;
 
-    pause.resume();
-    let drained_ok = pendings.into_iter().all(|p| p.wait().is_ok());
-    let stats = service.stats();
-    OverloadResult {
-        queue_capacity: CAPACITY,
-        submitted: CAPACITY + FLOOD,
-        accepted: stats.accepted as usize,
-        shed: stats.shed as usize,
-        peak_queued: stats.peak_queued,
-        shed_decision_ns,
-        drained_ok,
-    }
+        drop(pauses);
+        assert!(
+            batch.join().expect("held batch thread").is_ok(),
+            "held batch drains"
+        );
+        let stats = service.stats();
+        OverloadResult {
+            queue_capacity: BUDGET,
+            submitted: BUDGET + FLOOD,
+            accepted: stats.accepted as usize,
+            shed: stats.shed as usize,
+            peak_queued: stats.peak_queued,
+            shed_decision_ns,
+        }
+    })
 }
 
 /// A blocking line client against the TCP event loop.
@@ -679,14 +687,13 @@ fn concurrent_benches(c: &mut Criterion) {
         report.push_str("  },\n");
     }
 
-    // Overload: flood a fenced 1-worker service past its queue budget and
-    // measure the shed fast-fail path (what a flooding client pays per
-    // OVERLOADED reply, before protocol I/O).
+    // Overload: flood a fenced service whose budget a held batch fills
+    // and measure the shed fast-fail path (what a flooding client pays
+    // per OVERLOADED reply, before protocol I/O).
     {
         let scenario = &scenarios[0];
         let (_, texts) = scenario.workloads.last().expect("ALL workload");
         let result = overload_scenario(&scenario.synopsis, "overload_doc", &texts[0]);
-        assert!(result.drained_ok, "admitted estimates must drain");
         assert_eq!(result.accepted, result.queue_capacity);
         assert_eq!(result.peak_queued, result.queue_capacity);
         println!(
@@ -702,7 +709,7 @@ fn concurrent_benches(c: &mut Criterion) {
         let _ = write!(
             report,
             "  \"overload\": {{\n    \
-             \"scenario\": \"1 worker fenced, queue_capacity {} queries, then {} flooding submits\",\n    \
+             \"scenario\": \"2 workers fenced behind one 2-chunk batch holding the whole {}-query budget, then {} single estimates\",\n    \
              \"submitted\": {},\n    \"accepted\": {},\n    \"shed\": {},\n    \
              \"peak_queued\": {},\n    \"shed_decision_ns\": {:.1},\n    \
              \"note\": \"accepted == queue_capacity and peak_queued never exceeds it: admission is exact; shed_decision_ns is the client-side cost of one structured OVERLOADED rejection\"\n  }},\n",

@@ -25,7 +25,7 @@ use crate::metrics::{Obs, Stage};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xpathkit::QueryPlan;
-use xseed_core::{Mode, SynopsisSnapshot};
+use xseed_core::{Mode, Outcome, SynopsisSnapshot};
 
 /// One observed cardinality in a feedback batch: the executed query (a
 /// cached plan, so repeated feedback skips the parser) plus what the
@@ -57,34 +57,37 @@ pub fn execute_batch(
     batch: &[Arc<QueryPlan>],
     policy_len: usize,
 ) -> Vec<f64> {
-    execute_batch_observed(snapshot, batch, policy_len, &None)
+    execute_batch_observed(snapshot, batch, policy_len, Mode::Point, &None)
+        .iter()
+        .map(|outcome| outcome.estimate)
+        .collect()
 }
 
-/// [`execute_batch`] with per-stage observability: when `obs` is present,
-/// each plan's compilation (compiled-cache misses only, timed inside the
-/// miss closure and reported in [`xseed_core::Outcome::compile_time`], so
+/// [`execute_batch`] in any [`Mode`], returning each plan's whole
+/// [`Outcome`], with per-stage observability: when `obs` is present, each
+/// plan's compilation (compiled-cache misses only, timed inside the
+/// miss closure and reported in [`Outcome::compile_time`], so
 /// the cache counters see exactly one lookup per estimate) is timed into
 /// [`Stage::Compile`], and one `Instant` pair around the whole chunk
 /// records `batch.len()` [`Stage::Estimate`] samples of the per-query
 /// mean with the total compile time subtracted out, so the two stages
 /// partition the work and the warm per-query hot path pays no clock
-/// reads at all (see [`Obs::record_amortized`]). With `obs` absent this
-/// is exactly [`execute_batch`].
+/// reads at all (see [`Obs::record_amortized`]).
 pub(crate) fn execute_batch_observed(
     snapshot: &SynopsisSnapshot,
     batch: &[Arc<QueryPlan>],
     policy_len: usize,
+    mode: Mode,
     obs: &Option<Arc<Obs>>,
-) -> Vec<f64> {
+) -> Vec<Outcome> {
     let mut matcher = snapshot.matcher_for_batch(policy_len.max(batch.len()));
-    let mut estimate =
-        |plan: &QueryPlan| matcher.estimate(plan.expr(), Some(plan.id()), Mode::Point);
+    let mut estimate = |plan: &QueryPlan| matcher.estimate(plan.expr(), Some(plan.id()), mode);
     let Some(obs) = obs else {
-        return batch.iter().map(|plan| estimate(plan).estimate).collect();
+        return batch.iter().map(|plan| estimate(plan)).collect();
     };
     let started = Instant::now();
     let mut compile_total = Duration::ZERO;
-    let estimates: Vec<f64> = batch
+    let outcomes: Vec<Outcome> = batch
         .iter()
         .map(|plan| {
             let outcome = estimate(plan);
@@ -92,12 +95,12 @@ pub(crate) fn execute_batch_observed(
                 obs.record(Stage::Compile, compile_time);
                 compile_total += compile_time;
             }
-            outcome.estimate
+            outcome
         })
         .collect();
     let estimating = started.elapsed().saturating_sub(compile_total);
     obs.record_amortized(Stage::Estimate, estimating, batch.len() as u64);
-    estimates
+    outcomes
 }
 
 #[cfg(test)]

@@ -24,13 +24,13 @@
 //!   replays the snapshot's shared frontier memo (the traveler's expansion
 //!   recorded once per epoch) for batches and takes the cold streaming
 //!   pass for single queries. Each plan is one plan-keyed
-//!   [`xseed_core::StreamingMatcher::estimate`] call. `EST … mode=bound`
-//!   makes the same call with [`xseed_core::Mode::Bound`] on the calling
-//!   thread ([`Service::estimate_bound`]).
-//! * [`service`] — the [`Service`] front end: a worker thread pool with
-//!   per-worker **bounded** request queues, admission control that sheds
-//!   excess load with [`ServiceError::Overloaded`], and work stealing,
-//!   dispatching single estimates and batches over catalog snapshots.
+//!   [`xseed_core::StreamingMatcher::estimate`] call; `EST … mode=bound`
+//!   ([`Service::estimate_bound`]) runs the same executor with
+//!   [`xseed_core::Mode::Bound`].
+//! * [`service`] — the [`Service`] front end: admission control that
+//!   sheds excess load with [`ServiceError::Overloaded`], one-chunk
+//!   requests run on the calling thread, and a worker pool with bounded
+//!   per-worker queues and work stealing for larger batches.
 //! * [`protocol`] — the line protocol (`LOAD` / `EST` / `BATCH` / `STATS`)
 //!   spoken by the `xseed-serve` binary, including the structured
 //!   `OVERLOADED` shed reply (full reference: `docs/PROTOCOL.md`).
@@ -62,15 +62,15 @@
 //! on the estimate path is lock-free or sharded:
 //!
 //! ```text
-//!  clients                    admission                workers (N threads)
+//!  clients                    admission         2+ chunks: workers (N)
 //! ┌──────────┐  conn limit   ┌──────────────┐  shed?  ┌────────────────────┐
 //! │ stdin /  │──────────────▶│ resolve:     │───────▶ │ q0 ▸▸▸ ─┐ steal    │
-//! │ TCP      │  idle timeout │  snapshot    │  OVER-  │ q1 ▸    ─┼─▶ exec  │
-//! │ sessions │               │  (Arc clone) │  LOADED │ …        │  batch  │
+//! │ TCP      │  idle timeout │  snapshot    │  OVER-  │ q1 ▸    ─┼─▶ run   │
+//! │ sessions │               │  (Arc clone) │  LOADED │ …        │  chunk  │
 //! └──────────┘               │  plan cache  │         │ qN-1 ▸▸ ─┘         │
 //!                            │  queue budget│         └─────────┬──────────┘
 //!                            └──────┬───────┘                   │
-//!                                   │ resolve at submit         │ estimate
+//!                                   │ 1 chunk: run it here      │ estimate
 //!                            ┌──────▼───────────────────────────▼──────────┐
 //!                            │ Catalog: name → epoch-versioned snapshot    │
 //!                            │  SynopsisSnapshot = frozen CSR kernel + HET │
@@ -79,13 +79,13 @@
 //!                            └─────────────────────────────────────────────┘
 //! ```
 //!
-//! Requests are resolved *at submit time* (snapshot `Arc` clone +
-//! sharded-LRU plan-cache lookup), so queued jobs are self-contained and
-//! workers never touch the catalog; a `LOAD`/update publishes a fresh
-//! epoch while in-flight jobs finish on the epoch they started with. The
-//! queue budget is reserved before anything is enqueued — excess load
-//! degrades into an immediate structured `OVERLOADED` reply rather than
-//! an unbounded queue. On the hot path, a plan-cache hit also hits the
+//! Requests are resolved on the calling thread (snapshot `Arc` clone +
+//! sharded-LRU plan-cache lookup), so chunks are self-contained and never
+//! touch the catalog; a `LOAD`/update publishes a fresh epoch while
+//! in-flight work finishes on the epoch it started with. The queue
+//! budget is reserved before anything runs — excess load degrades into
+//! an immediate structured `OVERLOADED` reply; a one-chunk request then
+//! runs right there, and only larger batches are queued for the workers. On the hot path, a plan-cache hit also hits the
 //! snapshot's compiled-query cache, skipping label resolution; epoch
 //! bumps invalidate it for free because a new snapshot starts with a new
 //! cache.
@@ -138,7 +138,7 @@ pub use plan_cache::{PlanCache, PlanCacheStats};
 pub use protocol::{handle_line, run_script, ProtocolOptions, Response};
 pub use server::{serve_stream, ServerConfig, TcpServer};
 pub use service::{
-    PendingEstimate, RebuildTicket, Service, ServiceConfig, ServiceError, ServiceFeedback,
-    ServiceFeedbackBatch, ServiceStats, WorkerPause,
+    RebuildTicket, Service, ServiceConfig, ServiceError, ServiceFeedback, ServiceFeedbackBatch,
+    ServiceStats, WorkerPause,
 };
 pub use trace::{TraceEvent, TraceKind, TraceRing};

@@ -64,7 +64,7 @@ use datagen::Dataset;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use xmlkit::tree::Document;
-use xseed_core::{XseedConfig, XseedSynopsis};
+use xseed_core::{Mode, XseedConfig, XseedSynopsis};
 
 /// Outcome of one protocol line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -465,28 +465,29 @@ fn handle_save(service: &Service, args: &str, options: &ProtocolOptions) -> Resp
 }
 
 fn handle_est(service: &Service, args: &str) -> Response {
+    const USAGE: &str = "EST needs: EST <name> [mode=bound] <query>";
     let Some((name, rest)) = args.split_once(char::is_whitespace) else {
-        return Response::err("EST needs: EST <name> [mode=bound] <query>");
+        return Response::err(USAGE);
     };
     let rest = rest.trim();
-    if let Some(moded) = rest.strip_prefix("mode=") {
-        let Some((mode, query)) = moded.split_once(char::is_whitespace) else {
-            return Response::err("EST needs: EST <name> [mode=bound] <query>");
-        };
-        if mode != "bound" {
-            return Response::err(format_args!("unknown EST mode '{mode}' (supported: bound)"));
+    let (mode, query) = match rest
+        .strip_prefix("mode=")
+        .map(|m| m.split_once(char::is_whitespace))
+    {
+        None => (Mode::Point, rest),
+        Some(Some(("bound", query))) => (Mode::Bound, query.trim()),
+        Some(Some((mode, _))) => {
+            return Response::err(format_args!("unknown EST mode '{mode}' (supported: bound)"))
         }
-        return match service.estimate_bound(name, query.trim()) {
-            Ok(outcome) => Response::ok(format!(
-                "est={} bound={}",
-                format_est(outcome.estimate),
-                format_est(outcome.bound.unwrap_or(outcome.estimate))
-            )),
-            Err(e) => Response::service_err(e),
-        };
-    }
-    match service.estimate(name, rest) {
-        Ok(est) => Response::ok(format_est(est)),
+        Some(None) => return Response::err(USAGE),
+    };
+    match service.estimate_mode(name, query, mode) {
+        Ok(outcome) if mode == Mode::Bound => Response::ok(format!(
+            "est={} bound={}",
+            format_est(outcome.estimate),
+            format_est(outcome.bound.unwrap_or(outcome.estimate))
+        )),
+        Ok(outcome) => Response::ok(format_est(outcome.estimate)),
         Err(e) => Response::service_err(e),
     }
 }
@@ -1390,6 +1391,15 @@ mod tests {
         // The counters show the pressure; a fitting batch still runs.
         assert!(reply(&service, "STATS").contains("shed=5"));
         assert_eq!(reply(&service, "BATCH fig2 //p ; //p"), "OK n=2 17 17");
+    }
+
+    #[test]
+    fn estimator_panics_reply_err_internal() {
+        let reply = Response::service_err(ServiceError::Internal("boom".to_string()));
+        assert_eq!(
+            reply.text(),
+            Some("ERR internal error: estimator panicked: boom")
+        );
     }
 
     #[test]

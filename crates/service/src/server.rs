@@ -7,9 +7,9 @@
 //! [`netpoll`] crate — hand-rolled, no external deps) multiplexing every
 //! connection over nonblocking sockets, so ten thousand mostly-idle
 //! optimizer sessions cost ten thousand small buffers, not ten thousand
-//! threads. Estimation work still fans out across the [`Service`] worker
-//! pool; the loop thread only parses lines, dispatches them, and shuttles
-//! bytes.
+//! threads. The loop thread shuttles bytes, dispatches lines, and
+//! estimates one-chunk requests (every `EST`, small `BATCH`es) itself;
+//! only batches that split into chunks fan out to the [`Service`] pool.
 //!
 //! Per connection the loop keeps a read buffer and a write buffer, which
 //! buys the semantics a blocking thread-per-connection design gets for

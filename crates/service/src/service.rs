@@ -7,27 +7,30 @@
 //! own queue, then **steals** from the back of its siblings' queues before
 //! sleeping, so one hot queue cannot strand work while other workers idle.
 //!
-//! Requests are resolved on the submitting thread — catalog snapshot
-//! lookup (an `Arc` clone) and plan-cache lookup (sharded LRU) are both
-//! cheap — so a queued job is entirely self-contained: snapshot + plans +
-//! reply channel. Workers therefore never touch the catalog and are
-//! immune to concurrent `LOAD`s/updates: they estimate against whatever
-//! epoch the request was resolved at.
+//! Requests are resolved on the calling thread — catalog snapshot lookup
+//! (an `Arc` clone) and plan-cache lookup (sharded LRU) are both cheap —
+//! so a chunk of work is entirely self-contained: snapshot + plans.
+//! Whoever runs it never touches the catalog and is immune to concurrent
+//! `LOAD`s/updates: it estimates against whatever epoch the request was
+//! resolved at.
 //!
-//! Batches are split into per-worker chunks ([`Service::estimate_batch`]),
-//! each executed as one snapshot pass over the shared frontier memo (see
-//! [`crate::batch`]); the memo is built once per snapshot epoch and shared
-//! by all workers.
+//! **A request that forms one chunk runs on the calling thread** — every
+//! single estimate and every batch too small to split — since the caller
+//! waits for it either way. The pool takes only batches that split into
+//! per-worker chunks ([`Service::estimate_batch`]), each executed as one
+//! snapshot pass over the shared frontier memo (see [`crate::batch`]).
+//! Either way, an estimator panic becomes [`ServiceError::Internal`].
 //!
 //! ## Backpressure and admission control
 //!
 //! Every queue is **bounded**: [`ServiceConfig::queue_capacity`] queries
-//! per worker. Admission happens on the submitting thread *before*
-//! anything is enqueued — a request's cost (1 for a single estimate, the
+//! per worker. Admission happens on the calling thread *before* anything
+//! runs or is enqueued — a request's cost (1 for a single estimate, the
 //! query count for a batch) is reserved against a queue's remaining
-//! budget, falling back to sibling queues when the preferred one is full.
-//! When no queue can take it, the request is **shed**: the submitter gets
-//! [`ServiceError::Overloaded`] immediately (the daemon turns it into the
+//! budget, falling back to sibling queues when the preferred one is full,
+//! and held until the work finishes. When no queue can take it, the
+//! request is **shed**: the caller gets [`ServiceError::Overloaded`]
+//! immediately (the daemon turns it into the
 //! protocol's `OVERLOADED` reply), nothing is partially enqueued, and
 //! in-flight work is untouched. Batches are admitted all-or-nothing: a
 //! partially reserved batch releases its reservations and sheds whole, so
@@ -95,6 +98,9 @@ pub enum ServiceError {
     },
     /// The worker pool shut down before answering.
     Disconnected,
+    /// The estimator panicked on this request (message attached); the
+    /// panic was caught, so the service keeps serving.
+    Internal(String),
 }
 
 impl fmt::Display for ServiceError {
@@ -107,6 +113,7 @@ impl fmt::Display for ServiceError {
                 "overloaded: {queued} queries queued against a budget of {capacity}"
             ),
             ServiceError::Disconnected => write!(f, "service workers shut down"),
+            ServiceError::Internal(msg) => write!(f, "internal error: estimator panicked: {msg}"),
         }
     }
 }
@@ -179,16 +186,17 @@ impl Default for ServiceConfig {
     }
 }
 
-/// One self-contained unit of work: estimate `plans` against `snapshot`
-/// and send the results (tagged with `chunk` for reassembly) to `reply`.
+/// One queued chunk of a multi-chunk batch: estimate `plans` against
+/// `snapshot` and send the results (tagged with `chunk`) to `reply`.
 struct Job {
     snapshot: SynopsisSnapshot,
     plans: Vec<Arc<QueryPlan>>,
     /// Length of the whole logical batch this job is a chunk of; drives
-    /// the memo policy uniformly across all chunks (see [`execute_batch`]).
+    /// the memo policy uniformly across all chunks (see [`Shared::run_chunk`]).
     batch_len: usize,
+    mode: Mode,
     chunk: usize,
-    reply: mpsc::Sender<(usize, Vec<f64>)>,
+    reply: mpsc::Sender<(usize, Result<Vec<Outcome>, ServiceError>)>,
 }
 
 /// A queued entry: an estimation job, or a fence pausing the worker that
@@ -259,24 +267,15 @@ impl Shared {
             .fetch_max(self.total_queued(), Ordering::Relaxed);
     }
 
-    /// Finds a queue with room for `cost`, preferring `preferred` and —
-    /// unless `pinned` — falling back to siblings. Reserves the budget on
-    /// success; the caller must then `push` (or `release` on abort).
-    fn admit(&self, preferred: usize, cost: usize, pinned: bool) -> Option<usize> {
+    /// Finds a queue with room for `cost`, preferring `preferred` and
+    /// falling back to siblings. Reserves the budget on success; the
+    /// caller must then `push` (or `release` once done or on abort).
+    fn admit(&self, preferred: usize, cost: usize) -> Option<usize> {
         let n = self.queues.len();
         let preferred = preferred % n;
-        if self.try_reserve(preferred, cost) {
-            return Some(preferred);
-        }
-        if !pinned {
-            for offset in 1..n {
-                let queue = (preferred + offset) % n;
-                if self.try_reserve(queue, cost) {
-                    return Some(queue);
-                }
-            }
-        }
-        None
+        (0..n)
+            .map(|offset| (preferred + offset) % n)
+            .find(|&queue| self.try_reserve(queue, cost))
     }
 
     fn push(&self, queue: usize, work: Work) {
@@ -342,15 +341,41 @@ impl Shared {
         }
     }
 
-    /// Marks a successful admission, tracing the on→off transition. The
-    /// steady-state (non-shedding) cost is one relaxed load.
-    fn note_admitted(&self) {
+    /// Counts an admission of `cost` queries, tracing the on→off shed
+    /// transition (steady-state cost: one relaxed load).
+    fn note_accepted(&self, cost: usize) {
+        self.accepted.fetch_add(cost as u64, Ordering::Relaxed);
         if let Some(obs) = &self.obs {
             if self.shedding.load(Ordering::Relaxed) && self.shedding.swap(false, Ordering::Relaxed)
             {
                 obs.trace().record(TraceKind::ShedOff, "admission");
             }
         }
+        self.note_peak();
+    }
+
+    /// Runs one chunk, on the calling thread or a worker, and does its
+    /// accounting: [`execute_batch_observed`]'s stage samples, a
+    /// [`Stage::BatchChunk`] sample for a multi-query batch, `batches`,
+    /// and `executed` for `slot` (the queue whose budget it reserved) —
+    /// also when the chunk panicked, so `accepted` and `executed` balance.
+    fn run_chunk(
+        &self,
+        slot: usize,
+        snapshot: &SynopsisSnapshot,
+        plans: &[Arc<QueryPlan>],
+        batch_len: usize,
+        mode: Mode,
+    ) -> Result<Vec<Outcome>, ServiceError> {
+        let chunk_started = (batch_len > 1 && self.obs.is_some()).then(Instant::now);
+        let outcomes =
+            catch_panic(|| execute_batch_observed(snapshot, plans, batch_len, mode, &self.obs));
+        if let (Some(obs), Some(started)) = (&self.obs, chunk_started) {
+            obs.record(Stage::BatchChunk, started.elapsed());
+        }
+        self.executed[slot].fetch_add(plans.len() as u64, Ordering::Relaxed);
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        outcomes
     }
 }
 
@@ -478,22 +503,34 @@ fn maintenance_loop(catalog: Arc<Catalog>, shared: Arc<MaintenanceShared>) {
     }
 }
 
+/// Runs `work`, turning a panic into [`ServiceError::Internal`]. Unwind
+/// safety holds because a chunk shares nothing mutable with its caller
+/// but the snapshot's caches, whose locks tolerate poisoning.
+fn catch_panic<T>(work: impl FnOnce() -> T) -> Result<T, ServiceError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(work)).map_err(|payload| {
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("unknown panic payload");
+        ServiceError::Internal(message.to_string())
+    })
+}
+
 fn worker_loop(shared: Arc<Shared>, id: usize) {
     loop {
         match shared.pop_own(id).or_else(|| shared.steal(id)) {
-            Some(Work::Estimate(job)) => {
-                let started = Instant::now();
-                let results =
-                    execute_batch_observed(&job.snapshot, &job.plans, job.batch_len, &shared.obs);
-                if job.batch_len > 1 {
-                    if let Some(obs) = &shared.obs {
-                        obs.record(Stage::BatchChunk, started.elapsed());
-                    }
-                }
-                shared.executed[id].fetch_add(job.plans.len() as u64, Ordering::Relaxed);
-                shared.batches.fetch_add(1, Ordering::Relaxed);
+            Some(Work::Estimate(Job {
+                snapshot,
+                plans,
+                batch_len,
+                mode,
+                chunk,
+                reply,
+            })) => {
+                let outcomes = shared.run_chunk(id, &snapshot, &plans, batch_len, mode);
                 // A dropped receiver just means the caller gave up waiting.
-                let _ = job.reply.send((job.chunk, results));
+                let _ = reply.send((chunk, outcomes));
                 continue;
             }
             Some(Work::Fence { reached, release }) => {
@@ -539,20 +576,6 @@ fn worker_loop(shared: Arc<Shared>, id: usize) {
                 .wait_timeout(guard, STEAL_POLL)
                 .unwrap_or_else(|poison| poison.into_inner());
         }
-    }
-}
-
-/// A handle to an estimate submitted with [`Service::submit`]; resolve it
-/// with [`PendingEstimate::wait`].
-pub struct PendingEstimate {
-    rx: mpsc::Receiver<(usize, Vec<f64>)>,
-}
-
-impl PendingEstimate {
-    /// Blocks until the worker pool answers.
-    pub fn wait(self) -> Result<f64, ServiceError> {
-        let (_, results) = self.rx.recv().map_err(|_| ServiceError::Disconnected)?;
-        results.first().copied().ok_or(ServiceError::Disconnected)
     }
 }
 
@@ -610,11 +633,12 @@ pub struct ServiceStats {
     pub workers: usize,
     /// Per-worker queue budget, in queries.
     pub queue_capacity: usize,
-    /// Estimates executed per worker (index = worker id).
+    /// Estimates executed per queue (index = worker id); work run on the
+    /// calling thread counts for the queue whose budget it reserved.
     pub executed: Vec<u64>,
     /// Jobs a worker took from a sibling's queue.
     pub steals: u64,
-    /// Jobs executed in total (single estimates count as 1-query batches).
+    /// Chunks executed in total (a single estimate is a 1-query chunk).
     pub batches: u64,
     /// Queries admitted by admission control since startup.
     pub accepted: u64,
@@ -703,8 +727,8 @@ impl Service {
     pub fn new(catalog: Arc<Catalog>, config: ServiceConfig) -> Self {
         let workers = config.workers.max(1);
         // Shard the histograms for the threads that record concurrently:
-        // the workers plus the submitter-side stages (parse, plan lookup,
-        // feedback) and the maintenance thread.
+        // the workers plus the caller-side stages (parse, plan lookup,
+        // one-chunk estimates, feedback) and the maintenance thread.
         let obs = config
             .observability
             .then(|| Arc::new(Obs::new(workers + 2)));
@@ -880,58 +904,6 @@ impl Service {
             .ok_or_else(|| ServiceError::UnknownDocument(doc.to_string()))
     }
 
-    /// Submits one query for estimation against `doc`'s current snapshot,
-    /// round-robined onto a worker queue (falling back to siblings when
-    /// the preferred queue is full). Returns immediately;
-    /// [`ServiceError::Overloaded`] when every queue's budget is
-    /// exhausted.
-    pub fn submit(&self, doc: &str, query: &str) -> Result<PendingEstimate, ServiceError> {
-        let queue = self.next_queue.fetch_add(1, Ordering::Relaxed) % self.workers();
-        self.submit_inner(queue, doc, query, false)
-    }
-
-    /// Like [`Service::submit`], but pinned to a specific worker queue —
-    /// callers with document-affinity (or tests exercising the stealing
-    /// path) can direct related requests at one shard. Pinned requests do
-    /// not fall back: a full pinned queue sheds immediately.
-    pub fn submit_pinned(
-        &self,
-        queue: usize,
-        doc: &str,
-        query: &str,
-    ) -> Result<PendingEstimate, ServiceError> {
-        self.submit_inner(queue, doc, query, true)
-    }
-
-    fn submit_inner(
-        &self,
-        queue: usize,
-        doc: &str,
-        query: &str,
-        pinned: bool,
-    ) -> Result<PendingEstimate, ServiceError> {
-        let snapshot = self.resolve(doc)?;
-        let plan = self.plans.get_or_parse(query)?;
-        let Some(queue) = self.shared.admit(queue, 1, pinned) else {
-            return Err(self.shed(1));
-        };
-        self.shared.accepted.fetch_add(1, Ordering::Relaxed);
-        self.shared.note_admitted();
-        self.shared.note_peak();
-        let (tx, rx) = mpsc::channel();
-        self.shared.push(
-            queue,
-            Work::Estimate(Job {
-                snapshot,
-                plans: vec![plan],
-                batch_len: 1,
-                chunk: 0,
-                reply: tx,
-            }),
-        );
-        Ok(PendingEstimate { rx })
-    }
-
     /// Records a shed of `cost` queries and builds the overload error.
     fn shed(&self, cost: usize) -> ServiceError {
         self.shared.shed.fetch_add(cost as u64, Ordering::Relaxed);
@@ -968,31 +940,31 @@ impl Service {
         }
     }
 
-    /// Estimates one query, blocking until a worker answers.
+    /// Estimates one query on the calling thread, holding one query of
+    /// queue budget while it runs ([`ServiceError::Overloaded`] if none).
     pub fn estimate(&self, doc: &str, query: &str) -> Result<f64, ServiceError> {
-        self.submit(doc, query)?.wait()
+        Ok(self.estimate_mode(doc, query, Mode::Point)?.estimate)
     }
 
     /// Estimates one query in **bound mode**: the point estimate paired
     /// with a guaranteed upper bound on the true cardinality in
-    /// [`Outcome::bound`] (see [`xseed_core::Mode::Bound`]). Runs on the
-    /// calling thread through the snapshot's single-query matcher,
-    /// admission-controlled like an estimate — it reserves one query of
-    /// queue budget and sheds with [`ServiceError::Overloaded`] when the
-    /// service is saturated.
+    /// [`Outcome::bound`] (see [`xseed_core::Mode::Bound`]). Runs and is
+    /// admitted exactly like [`Service::estimate`].
     pub fn estimate_bound(&self, doc: &str, query: &str) -> Result<Outcome, ServiceError> {
+        self.estimate_mode(doc, query, Mode::Bound)
+    }
+
+    /// The one single-query path behind [`Service::estimate`],
+    /// [`Service::estimate_bound`] and the protocol's `EST`.
+    pub(crate) fn estimate_mode(
+        &self,
+        doc: &str,
+        query: &str,
+        mode: Mode,
+    ) -> Result<Outcome, ServiceError> {
         let snapshot = self.resolve(doc)?;
         let plan = self.plans.get_or_parse(query)?;
-        let queue = self.admit_inline(1)?;
-        let started = Instant::now();
-        let outcome = snapshot
-            .matcher()
-            .estimate(plan.expr(), Some(plan.id()), Mode::Bound);
-        if let Some(obs) = &self.obs {
-            obs.record(Stage::Estimate, started.elapsed());
-        }
-        self.shared.release(queue, 1);
-        Ok(outcome)
+        Ok(self.run(&snapshot, std::slice::from_ref(&plan), mode)?[0])
     }
 
     /// Folds one applied feedback observation into the global q-error
@@ -1017,21 +989,17 @@ impl Service {
     }
 
     /// Reserves `cost` queries of admission budget for work that runs on
-    /// the calling thread (feedback): the same backpressure that guards
-    /// the estimate path, so a flooding feedback client sheds with
-    /// [`ServiceError::Overloaded`] instead of consuming unbounded CPU.
-    /// Returns the queue whose budget was reserved; the caller must
+    /// the calling thread (one-chunk estimates and feedback): the same
+    /// backpressure that guards queued chunks, so a flooding client sheds
+    /// with [`ServiceError::Overloaded`] instead of consuming unbounded
+    /// CPU. Returns the queue whose budget was reserved; the caller must
     /// release it.
     fn admit_inline(&self, cost: usize) -> Result<usize, ServiceError> {
-        let preferred = self.next_queue.fetch_add(1, Ordering::Relaxed) % self.workers();
-        let Some(queue) = self.shared.admit(preferred, cost, false) else {
+        let preferred = self.next_queue.fetch_add(1, Ordering::Relaxed);
+        let Some(queue) = self.shared.admit(preferred, cost) else {
             return Err(self.shed(cost));
         };
-        self.shared
-            .accepted
-            .fetch_add(cost as u64, Ordering::Relaxed);
-        self.shared.note_admitted();
-        self.shared.note_peak();
+        self.shared.note_accepted(cost);
         Ok(queue)
     }
 
@@ -1143,8 +1111,10 @@ impl Service {
 
     /// Estimates a batch of queries against one snapshot of `doc`,
     /// splitting it into per-worker chunks that execute as shared-memo
-    /// snapshot passes. Results come back in input order. The whole batch
-    /// is resolved against a single epoch: a concurrent update to `doc`
+    /// snapshot passes. A batch that forms one chunk (at most 8 queries,
+    /// or a 1-worker service) runs on the calling thread instead. Results
+    /// come back in input order. The whole batch is
+    /// resolved against a single epoch: a concurrent update to `doc`
     /// never mixes epochs within one batch.
     ///
     /// Admission is all-or-nothing: either every chunk fits the queue
@@ -1155,15 +1125,34 @@ impl Service {
     pub fn estimate_batch(&self, doc: &str, queries: &[&str]) -> Result<Vec<f64>, ServiceError> {
         let snapshot = self.resolve(doc)?;
         let plans = self.plans.get_or_parse_batch(queries)?;
+        let outcomes = self.run(&snapshot, &plans, Mode::Point)?;
+        Ok(outcomes.iter().map(|outcome| outcome.estimate).collect())
+    }
+
+    /// Runs `plans` as one request: on the calling thread when they form
+    /// one chunk, otherwise as one queued job per per-worker chunk, with
+    /// the results gathered in input order.
+    fn run(
+        &self,
+        snapshot: &SynopsisSnapshot,
+        plans: &[Arc<QueryPlan>],
+        mode: Mode,
+    ) -> Result<Vec<Outcome>, ServiceError> {
         if plans.is_empty() {
             return Ok(Vec::new());
         }
-
         // Per-worker chunks, but never so fine that queue/channel overhead
         // dominates the estimates themselves.
         const MIN_CHUNK: usize = 8;
-        let workers = self.workers();
-        let chunks = workers.min(plans.len().div_ceil(MIN_CHUNK)).max(1);
+        let chunks = self.workers().min(plans.len().div_ceil(MIN_CHUNK));
+        if chunks == 1 {
+            let queue = self.admit_inline(plans.len())?;
+            let outcomes = self
+                .shared
+                .run_chunk(queue, snapshot, plans, plans.len(), mode);
+            self.shared.release(queue, plans.len());
+            return outcomes;
+        }
         let chunk_size = plans.len().div_ceil(chunks);
 
         // Reserve budget for every chunk before enqueueing anything, so a
@@ -1171,7 +1160,7 @@ impl Service {
         let base = self.next_queue.fetch_add(chunks, Ordering::Relaxed);
         let mut placements: Vec<(usize, usize)> = Vec::with_capacity(chunks);
         for (i, chunk) in plans.chunks(chunk_size).enumerate() {
-            match self.shared.admit(base + i, chunk.len(), false) {
+            match self.shared.admit(base + i, chunk.len()) {
                 Some(queue) => placements.push((queue, chunk.len())),
                 None => {
                     for &(queue, cost) in &placements {
@@ -1181,11 +1170,7 @@ impl Service {
                 }
             }
         }
-        self.shared
-            .accepted
-            .fetch_add(plans.len() as u64, Ordering::Relaxed);
-        self.shared.note_admitted();
-        self.shared.note_peak();
+        self.shared.note_accepted(plans.len());
 
         let (tx, rx) = mpsc::channel();
         for ((i, chunk), &(queue, _)) in plans.chunks(chunk_size).enumerate().zip(&placements) {
@@ -1195,6 +1180,7 @@ impl Service {
                     snapshot: snapshot.clone(),
                     plans: chunk.to_vec(),
                     batch_len: plans.len(),
+                    mode,
                     chunk: i,
                     reply: tx.clone(),
                 }),
@@ -1202,12 +1188,12 @@ impl Service {
         }
         drop(tx);
 
-        let mut gathered: Vec<Option<Vec<f64>>> = vec![None; plans.len().div_ceil(chunk_size)];
-        for _ in 0..gathered.len() {
-            let (chunk, results) = rx.recv().map_err(|_| ServiceError::Disconnected)?;
-            gathered[chunk] = Some(results);
+        let mut gathered: Vec<Vec<Outcome>> = vec![Vec::new(); placements.len()];
+        for _ in 0..placements.len() {
+            let (chunk, outcomes) = rx.recv().map_err(|_| ServiceError::Disconnected)?;
+            gathered[chunk] = outcomes?;
         }
-        Ok(gathered.into_iter().flatten().flatten().collect())
+        Ok(gathered.into_iter().flatten().collect())
     }
 
     /// Current service counters.
@@ -1347,28 +1333,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_submissions_are_stolen_by_idle_workers() {
-        let service = fig2_service(4);
-        // Pile everything onto worker 0's queue; with 4 workers the
-        // siblings must steal at least some of it.
-        let pending: Vec<PendingEstimate> = (0..64)
-            .map(|_| service.submit_pinned(0, "fig2", "//s//p").unwrap())
-            .collect();
-        for p in pending {
-            p.wait().unwrap();
-        }
-        let stats = service.stats();
-        assert_eq!(stats.total_executed(), 64);
-        assert!(
-            stats.steals > 0 || stats.executed[0] == 64,
-            "either siblings stole or worker 0 drained everything: {stats:?}"
-        );
-        // On a multi-queue pile-up the plan cache should have one miss.
-        assert_eq!(stats.plan_cache.misses, 1);
-        assert_eq!(stats.plan_cache.hits, 63);
-    }
-
-    #[test]
     fn estimate_bound_through_service() {
         let service = fig2_service(2);
         for q in ["/a/c/s", "//s//p", "/a/c/s[t]/p", "//*"] {
@@ -1404,6 +1368,33 @@ mod tests {
         Service::new(catalog, config)
     }
 
+    /// Fences every worker, issues `held` as one batch from a scoped
+    /// thread and waits until its chunks hold `held.len()` queries of the
+    /// budget; then runs `body`, lifts the fences and returns `body`'s
+    /// result with the batch's estimates.
+    fn with_budget_held<R>(
+        service: &Service,
+        held: &[&str],
+        body: impl FnOnce() -> R,
+    ) -> (R, Vec<f64>) {
+        let pauses: Vec<WorkerPause> = (0..service.workers())
+            .map(|worker| service.pause_worker(worker))
+            .collect();
+        for pause in &pauses {
+            pause.wait_until_paused();
+        }
+        std::thread::scope(|scope| {
+            let batch = scope.spawn(|| service.estimate_batch("fig2", held));
+            while service.stats().queued < held.len() {
+                assert!(!batch.is_finished(), "the held batch did not queue");
+                std::thread::yield_now();
+            }
+            let result = body();
+            drop(pauses);
+            (result, batch.join().unwrap().unwrap())
+        })
+    }
+
     #[test]
     fn batch_exceeding_total_budget_sheds_whole() {
         let service = fig2_service_with(ServiceConfig::with_workers(2).with_queue_capacity(4));
@@ -1427,32 +1418,36 @@ mod tests {
 
     #[test]
     fn paused_worker_makes_sheds_deterministic() {
-        let service = fig2_service_with(ServiceConfig::with_workers(1).with_queue_capacity(2));
-        let pause = service.pause_worker(0);
-        pause.wait_until_paused();
-
-        let mut pending = Vec::new();
-        let mut sheds = 0;
-        for _ in 0..5 {
-            match service.submit("fig2", "/a/c/s") {
-                Ok(p) => pending.push(p),
-                Err(ServiceError::Overloaded { queued, capacity }) => {
-                    assert_eq!((queued, capacity), (2, 2));
-                    sheds += 1;
+        // Two 8-query chunks fill both fenced queues exactly, so every
+        // one-chunk request sheds until the fences lift.
+        let service = fig2_service_with(ServiceConfig::with_workers(2).with_queue_capacity(8));
+        let (sheds, held) = with_budget_held(&service, &["/a/c/s"; 16], || {
+            let mut sheds = 0;
+            for _ in 0..5 {
+                match service.estimate("fig2", "/a/c/s") {
+                    Err(ServiceError::Overloaded { queued, capacity }) => {
+                        assert_eq!((queued, capacity), (16, 16));
+                        sheds += 1;
+                    }
+                    other => panic!("expected a shed, got {other:?}"),
                 }
-                Err(other) => panic!("unexpected error: {other}"),
             }
-        }
-        assert_eq!((pending.len(), sheds), (2, 3));
-        let stats = service.stats();
-        assert_eq!((stats.accepted, stats.shed), (2, 3));
-        assert_eq!((stats.queued, stats.peak_queued), (2, 2));
-
-        pause.resume();
-        for p in pending {
-            assert!((p.wait().unwrap() - 5.0).abs() < 1e-9);
-        }
+            assert!(matches!(
+                service.estimate_bound("fig2", "/a/c/s"),
+                Err(ServiceError::Overloaded { .. })
+            ));
+            let stats = service.stats();
+            assert_eq!((stats.accepted, stats.shed), (16, 6));
+            assert_eq!((stats.queued, stats.peak_queued), (16, 16));
+            sheds
+        });
+        assert_eq!(sheds, 5);
+        assert!(held.iter().all(|est| (est - 5.0).abs() < 1e-9));
         assert_eq!(service.stats().queued, 0);
+        // The drained budget admits again.
+        assert!((service.estimate("fig2", "/a/c/s").unwrap() - 5.0).abs() < 1e-9);
+        let stats = service.stats();
+        assert_eq!((stats.accepted, stats.peak_queued), (17, 16));
     }
 
     #[test]
@@ -1468,20 +1463,90 @@ mod tests {
 
     #[test]
     fn siblings_steal_past_a_fence() {
-        let service = fig2_service_with(ServiceConfig::with_workers(2));
-        let pause = service.pause_worker(0);
-        pause.wait_until_paused();
-        // Work pinned behind the fence is stolen by the idle sibling.
-        let pending: Vec<PendingEstimate> = (0..8)
-            .map(|_| service.submit_pinned(0, "fig2", "//p").unwrap())
-            .collect();
-        for p in pending {
-            assert!((p.wait().unwrap() - 17.0).abs() < 1e-9);
+        for workers in [2, 4] {
+            let service = fig2_service_with(ServiceConfig::with_workers(workers));
+            let pause = service.pause_worker(0);
+            pause.wait_until_paused();
+            // One 8-query chunk per queue: the chunk queued behind the
+            // fence is stolen by an idle sibling.
+            let queries = vec!["//p"; 8 * workers];
+            let batch = service.estimate_batch("fig2", &queries).unwrap();
+            assert!(batch.iter().all(|est| (est - 17.0).abs() < 1e-9));
+            assert!(batch.iter().all(|est| est.to_bits() == batch[0].to_bits()));
+            let stats = service.stats();
+            assert_eq!(stats.executed[0], 0, "paused worker must not execute");
+            assert_eq!(stats.total_executed(), queries.len() as u64);
+            assert!(stats.steals >= 1, "{stats:?}");
+            assert_eq!(stats.plan_cache.misses, 1);
+            assert_eq!(stats.plan_cache.hits, queries.len() as u64 - 1);
+            drop(pause);
         }
+    }
+
+    #[test]
+    fn one_chunk_work_never_waits_on_the_pool() {
+        let service = Arc::new(fig2_service(2));
+        let pauses: Vec<WorkerPause> = (0..2).map(|w| service.pause_worker(w)).collect();
+        for pause in &pauses {
+            pause.wait_until_paused();
+        }
+        // On a helper thread, so a regression fails the test instead of
+        // hanging it.
+        let (tx, rx) = mpsc::channel();
+        let caller = service.clone();
+        std::thread::spawn(move || {
+            let point = caller.estimate("fig2", "/a/c/s");
+            let bound = caller.estimate_bound("fig2", "/a/c/s");
+            let batch = caller.estimate_batch("fig2", &["//p"; 8]);
+            let _ = tx.send((point, bound, batch));
+        });
+        let (point, bound, batch) = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("one-chunk work waited on the fenced workers");
+        assert!((point.unwrap() - 5.0).abs() < 1e-9);
+        assert_eq!(bound.unwrap().bound, Some(5.0));
+        let batch = batch.unwrap();
+        assert_eq!(batch.len(), 8);
+        assert!(batch.iter().all(|est| (est - 17.0).abs() < 1e-9));
         let stats = service.stats();
-        assert_eq!(stats.executed[0], 0, "paused worker must not execute");
-        assert_eq!(stats.executed[1], 8);
-        drop(pause);
+        assert_eq!((stats.total_executed(), stats.batches), (10, 3));
+        assert_eq!((stats.accepted, stats.queued, stats.steals), (10, 0, 0));
+        drop(pauses);
+    }
+
+    #[test]
+    fn bound_estimates_are_counted_like_point_estimates() {
+        let service = fig2_service(1);
+        let outcome = service.estimate_bound("fig2", "/a/c/s").unwrap();
+        assert_eq!(outcome.bound, Some(5.0));
+        let stats = service.stats();
+        assert_eq!(
+            stats.accepted
+                - stats.total_executed()
+                - stats.feedback_applied
+                - stats.feedback_ignored,
+            0,
+            "no phantom in-flight work: {stats:?}"
+        );
+        assert_eq!(stats.batches, 1);
+        let obs = service.obs().expect("observability is on by default");
+        assert_eq!(obs.latency(Stage::Compile).count(), 1);
+        assert_eq!(obs.latency(Stage::Estimate).count(), 1);
+    }
+
+    #[test]
+    fn catch_panic_turns_a_panic_into_an_internal_error() {
+        assert_eq!(catch_panic(|| 7).unwrap(), 7);
+        let formatted = catch_panic(|| -> u32 { panic!("estimator bug {}", 42) }).unwrap_err();
+        assert!(
+            matches!(&formatted, ServiceError::Internal(m) if m == "estimator bug 42"),
+            "{formatted}"
+        );
+        assert!(formatted.to_string().starts_with("internal error"));
+        let literal = catch_panic(|| -> u32 { panic!("boom") }).unwrap_err();
+        assert!(matches!(&literal, ServiceError::Internal(m) if m == "boom"));
+        let opaque = catch_panic(|| -> u32 { std::panic::panic_any(7u8) }).unwrap_err();
+        assert!(matches!(&opaque, ServiceError::Internal(m) if m == "unknown panic payload"));
     }
 
     #[test]
@@ -1573,27 +1638,22 @@ mod tests {
 
     #[test]
     fn feedback_is_admission_controlled() {
-        // Fill the whole queue budget with a fenced worker: feedback must
-        // shed like an estimate would, and must not leak budget when it
-        // runs.
-        let service = fig2_service_with(ServiceConfig::with_workers(1).with_queue_capacity(2));
-        let pause = service.pause_worker(0);
-        pause.wait_until_paused();
-        let _a = service.submit("fig2", "/a/c/s").unwrap();
-        let _b = service.submit("fig2", "/a/c/s").unwrap();
-        assert!(matches!(
-            service.feedback("fig2", "/a/c/s", 5, None),
-            Err(ServiceError::Overloaded { .. })
-        ));
-        assert!(matches!(
-            service.feedback_batch("fig2", &[("/a/c/s", 5, None)]),
-            Err(ServiceError::Overloaded { .. })
-        ));
-        let shed_before = service.stats().shed;
-        assert_eq!(shed_before, 2);
-        pause.resume();
-        _a.wait().unwrap();
-        _b.wait().unwrap();
+        // With the whole queue budget held by a fenced batch, feedback
+        // must shed like an estimate would, and must not leak budget when
+        // it runs.
+        let service = fig2_service_with(ServiceConfig::with_workers(2).with_queue_capacity(8));
+        let ((), held) = with_budget_held(&service, &["/a/c/s"; 16], || {
+            assert!(matches!(
+                service.feedback("fig2", "/a/c/s", 5, None),
+                Err(ServiceError::Overloaded { .. })
+            ));
+            assert!(matches!(
+                service.feedback_batch("fig2", &[("/a/c/s", 5, None)]),
+                Err(ServiceError::Overloaded { .. })
+            ));
+            assert_eq!(service.stats().shed, 2);
+        });
+        assert_eq!(held.len(), 16);
         // Budget drained: feedback admits and releases its reservation.
         let fb = service.feedback("fig2", "/a/c/s", 5, None).unwrap();
         assert_eq!(fb.report.outcome, xseed_core::FeedbackOutcome::SimplePath);

@@ -1,9 +1,10 @@
 //! Backpressure guarantees of the estimation service, driven past its
 //! queue budget:
 //!
-//! * sheds are **deterministic**: with the worker fenced, exactly the
-//!   requests beyond the budget shed, every shed is the structured
-//!   [`ServiceError::Overloaded`], and nothing is partially enqueued;
+//! * sheds are **deterministic**: with the workers fenced behind a batch
+//!   that holds the whole budget, every further request sheds, every shed
+//!   is the structured [`ServiceError::Overloaded`], and nothing is
+//!   partially enqueued;
 //! * the process stays **under the configured bounds**: the queued-depth
 //!   high-water mark never exceeds `workers × queue_capacity`;
 //! * in-flight estimates are **never corrupted**: everything admitted
@@ -12,8 +13,10 @@
 
 use std::sync::Arc;
 use std::thread;
-use xseed_core::{Mode, XseedConfig, XseedSynopsis};
-use xseed_service::{Catalog, PendingEstimate, Service, ServiceConfig, ServiceError};
+use xpathkit::QueryPlan;
+use xseed_core::Mode;
+use xseed_core::{XseedConfig, XseedSynopsis};
+use xseed_service::{Catalog, Service, ServiceConfig, ServiceError};
 
 use datagen::{Dataset, WorkloadGenerator, WorkloadSpec};
 
@@ -27,119 +30,135 @@ fn xmark_catalog() -> (Arc<Catalog>, Vec<String>) {
     (catalog, texts)
 }
 
-/// With the single worker fenced, floods of `submit` shed exactly the
-/// overflow — and everything admitted still answers bit-identically to a
-/// single-threaded run once the fence lifts.
-#[test]
-fn fenced_flood_sheds_exactly_the_overflow_and_preserves_estimates() {
-    const CAPACITY: usize = 16;
-    const FLOOD: usize = 100;
-    let (catalog, texts) = xmark_catalog();
-    let reference: Vec<u64> = {
-        let snapshot = catalog.snapshot("xmark").unwrap();
-        let mut matcher = snapshot.matcher();
-        texts
-            .iter()
-            .map(|t| {
-                matcher
-                    .estimate(&xpathkit::parse(t).unwrap(), None, Mode::Point)
-                    .estimate
-                    .to_bits()
-            })
-            .collect()
-    };
-    let service = Service::new(
-        catalog,
-        ServiceConfig::with_workers(1).with_queue_capacity(CAPACITY),
-    );
-    let pause = service.pause_worker(0);
-    pause.wait_until_paused();
-
-    let mut admitted: Vec<(usize, PendingEstimate)> = Vec::new();
-    let mut sheds = 0usize;
-    for i in 0..FLOOD {
-        match service.submit("xmark", &texts[i % texts.len()]) {
-            Ok(pending) => admitted.push((i % texts.len(), pending)),
-            Err(ServiceError::Overloaded { queued, capacity }) => {
-                assert_eq!(queued, CAPACITY, "sheds only happen at a full budget");
-                assert_eq!(capacity, CAPACITY);
-                sheds += 1;
-            }
-            Err(other) => panic!("unexpected error: {other}"),
-        }
-    }
-    // Deterministic: the first CAPACITY submissions were admitted, every
-    // later one shed.
-    assert_eq!(admitted.len(), CAPACITY);
-    assert_eq!(sheds, FLOOD - CAPACITY);
-    let stats = service.stats();
-    assert_eq!(stats.accepted, CAPACITY as u64);
-    assert_eq!(stats.shed, (FLOOD - CAPACITY) as u64);
-    assert_eq!(stats.queued, CAPACITY);
-    assert_eq!(stats.peak_queued, CAPACITY, "budget never exceeded");
-
-    // Lift the fence: every admitted estimate completes, bit-identical to
-    // the single-threaded reference.
-    pause.resume();
-    for (qi, pending) in admitted {
-        assert_eq!(
-            pending.wait().unwrap().to_bits(),
-            reference[qi],
-            "query {qi} diverged"
-        );
-    }
-    let stats = service.stats();
-    assert_eq!(stats.queued, 0);
-    assert_eq!(stats.total_executed(), CAPACITY as u64);
+/// Single-threaded reference bits for every text, from the matcher a
+/// request of `batch_len` queries runs (cold stream for one query, memo
+/// replay for more).
+fn reference(catalog: &Catalog, texts: &[String], batch_len: usize) -> Vec<u64> {
+    let snapshot = catalog.snapshot("xmark").unwrap();
+    let mut matcher = snapshot.matcher_for_batch(batch_len);
+    texts
+        .iter()
+        .map(|t| {
+            let plan = QueryPlan::parse(t).unwrap();
+            matcher
+                .estimate(plan.expr(), None, Mode::Point)
+                .estimate
+                .to_bits()
+        })
+        .collect()
 }
 
-/// Concurrent flooders against a live (unfenced) service: sheds and
-/// admissions always partition the offered load, the bound holds, and
-/// admitted work is bit-exact — overload never corrupts in-flight
-/// estimates.
+/// With both workers fenced behind a 2-chunk batch that holds the whole
+/// budget, a flood of single estimates sheds every request — and the
+/// held batch still answers bit-identically to a single-threaded run
+/// once the fences lift.
+#[test]
+fn fenced_flood_sheds_exactly_the_overflow_and_preserves_estimates() {
+    const CAPACITY: usize = 8;
+    const HELD: usize = 2 * CAPACITY;
+    const FLOOD: usize = 100;
+    let (catalog, texts) = xmark_catalog();
+    let batch_reference = reference(&catalog, &texts[..HELD], HELD);
+    let single_reference = reference(&catalog, &texts[..1], 1);
+    let service = Service::new(
+        catalog,
+        ServiceConfig::with_workers(2).with_queue_capacity(CAPACITY),
+    );
+    let pauses = [service.pause_worker(0), service.pause_worker(1)];
+    for pause in &pauses {
+        pause.wait_until_paused();
+    }
+    let held: Vec<&str> = texts[..HELD].iter().map(String::as_str).collect();
+
+    let held_estimates = thread::scope(|scope| {
+        let batch = scope.spawn(|| service.estimate_batch("xmark", &held));
+        while service.stats().queued < HELD {
+            assert!(!batch.is_finished(), "the held batch did not queue");
+            thread::yield_now();
+        }
+        for i in 0..FLOOD {
+            match service.estimate("xmark", &texts[i % texts.len()]) {
+                Err(ServiceError::Overloaded { queued, capacity }) => {
+                    assert_eq!(queued, HELD, "sheds only happen at a full budget");
+                    assert_eq!(capacity, HELD);
+                }
+                other => panic!("expected a shed, got {other:?}"),
+            }
+        }
+        // Deterministic: the held batch was admitted, every later request
+        // shed.
+        let stats = service.stats();
+        assert_eq!(stats.accepted, HELD as u64);
+        assert_eq!(stats.shed, FLOOD as u64);
+        assert_eq!(stats.queued, HELD);
+        assert_eq!(stats.peak_queued, HELD, "budget never exceeded");
+        // Lift the fences: the held batch completes.
+        drop(pauses);
+        batch.join().unwrap().unwrap()
+    });
+    let held_bits: Vec<u64> = held_estimates.iter().map(|e| e.to_bits()).collect();
+    assert_eq!(held_bits, batch_reference, "held batch diverged");
+    let stats = service.stats();
+    assert_eq!(stats.queued, 0);
+    assert_eq!(stats.total_executed(), HELD as u64);
+    // The drained budget admits single estimates again, bit-exact.
+    assert_eq!(
+        service.estimate("xmark", &texts[0]).unwrap().to_bits(),
+        single_reference[0]
+    );
+}
+
+/// Concurrent clients mixing single estimates and 2-chunk batches
+/// against a live (unfenced) service: sheds and admissions always
+/// partition the offered load, the bound holds, and admitted work is
+/// bit-exact — overload never corrupts in-flight estimates.
 #[test]
 fn concurrent_flood_stays_bounded_and_bit_exact() {
     const CAPACITY: usize = 8;
+    const BATCH: usize = 2 * CAPACITY;
     const CLIENTS: usize = 4;
     const PER_CLIENT: usize = 200;
     let (catalog, texts) = xmark_catalog();
-    let reference: Vec<u64> = {
-        let snapshot = catalog.snapshot("xmark").unwrap();
-        let mut matcher = snapshot.matcher();
-        texts
-            .iter()
-            .map(|t| {
-                matcher
-                    .estimate(&xpathkit::parse(t).unwrap(), None, Mode::Point)
-                    .estimate
-                    .to_bits()
-            })
-            .collect()
-    };
+    let single_reference = reference(&catalog, &texts, 1);
+    let batch_reference = reference(&catalog, &texts, BATCH);
     let service = Service::new(
         catalog,
         ServiceConfig::with_workers(2).with_queue_capacity(CAPACITY),
     );
 
-    let admitted_total: usize = thread::scope(|scope| {
+    let (offered, admitted): (usize, usize) = thread::scope(|scope| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|c| {
                 let service = &service;
                 let texts = &texts;
-                let reference = &reference;
+                let (single_reference, batch_reference) = (&single_reference, &batch_reference);
                 scope.spawn(move || {
-                    let mut admitted = 0usize;
+                    let (mut offered, mut admitted) = (0usize, 0usize);
                     for i in 0..PER_CLIENT {
-                        let qi = (c * PER_CLIENT + i) % texts.len();
-                        match service.submit("xmark", &texts[qi]) {
-                            Ok(pending) => {
-                                admitted += 1;
-                                assert_eq!(
-                                    pending.wait().unwrap().to_bits(),
-                                    reference[qi],
-                                    "{}",
-                                    texts[qi]
-                                );
+                        let first = (c * PER_CLIENT + i) % texts.len();
+                        // Even rounds send one query, odd rounds a batch
+                        // that splits into one full chunk per queue.
+                        let len = if i % 2 == 0 { 1 } else { BATCH };
+                        let qis: Vec<usize> =
+                            (first..first + len).map(|q| q % texts.len()).collect();
+                        let batch: Vec<&str> = qis.iter().map(|&q| texts[q].as_str()).collect();
+                        let result = if len == 1 {
+                            service.estimate("xmark", batch[0]).map(|e| vec![e])
+                        } else {
+                            service.estimate_batch("xmark", &batch)
+                        };
+                        offered += len;
+                        match result {
+                            Ok(estimates) => {
+                                admitted += len;
+                                let reference = if len == 1 {
+                                    single_reference
+                                } else {
+                                    batch_reference
+                                };
+                                for (&q, est) in qis.iter().zip(estimates) {
+                                    assert_eq!(est.to_bits(), reference[q], "{}", texts[q]);
+                                }
                             }
                             Err(ServiceError::Overloaded { queued, capacity }) => {
                                 assert_eq!(capacity, 2 * CAPACITY);
@@ -148,18 +167,21 @@ fn concurrent_flood_stays_bounded_and_bit_exact() {
                             Err(other) => panic!("unexpected error: {other}"),
                         }
                     }
-                    admitted
+                    (offered, admitted)
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).sum()
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .fold((0, 0), |(o, a), (co, ca)| (o + co, a + ca))
     });
 
     let stats = service.stats();
-    assert_eq!(stats.accepted as usize, admitted_total);
+    assert_eq!(stats.accepted as usize, admitted);
     assert_eq!(
-        stats.accepted + stats.shed,
-        (CLIENTS * PER_CLIENT) as u64,
+        (stats.accepted + stats.shed) as usize,
+        offered,
         "admissions and sheds must partition the offered load"
     );
     assert!(
@@ -168,7 +190,7 @@ fn concurrent_flood_stays_bounded_and_bit_exact() {
         stats.peak_queued,
         2 * CAPACITY
     );
-    assert_eq!(stats.total_executed() as usize, admitted_total);
+    assert_eq!(stats.total_executed() as usize, admitted);
     assert_eq!(stats.queued, 0);
 }
 
