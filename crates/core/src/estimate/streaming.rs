@@ -65,9 +65,10 @@ use crate::config::{escalate_card_threshold, XseedConfig};
 use crate::het::hash::{correlated_key, inc_hash, PATH_HASH_SEED};
 use crate::het::table::HyperEdgeTable;
 use crate::kernel::{FrozenKernel, VertexId};
+use crate::lru::ShardedLru;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xmlkit::names::{LabelId, NameTable};
 use xpathkit::ast::{Axis, NodeTest, PathExpr};
@@ -384,26 +385,15 @@ pub struct CompiledCacheStats {
     pub entries: usize,
 }
 
-#[derive(Default)]
-struct CompiledShard {
-    map: HashMap<u64, CachedCompiled>,
-    tick: u64,
-}
-
-struct CachedCompiled {
-    compiled: Arc<CompiledQuery>,
-    last_used: u64,
-}
-
 /// A per-snapshot cache of label-resolved [`CompiledQuery`]s, keyed by
 /// [`xpathkit::QueryPlan::id`] — plan-cache hits skip recompilation entirely.
 ///
-/// Sharded by plan id with per-shard mutexes and tick-stamped LRU
-/// eviction, mirroring the service-layer plan cache: concurrent workers
-/// estimating different plans rarely touch the same lock, and compilation
-/// always happens *outside* any lock (two racing compiles of one plan
-/// produce identical artifacts; the first insert wins and the loser's is
-/// dropped).
+/// A thin wrapper over [`ShardedLru`] (sharded by plan id, exact LRU
+/// eviction in `O(1)`) with hit/miss counters, like the service-layer plan
+/// cache: concurrent workers estimating different plans rarely touch the
+/// same lock, and compilation always happens *outside* any lock (two
+/// racing compiles of one plan produce identical artifacts; the first
+/// insert wins and the loser's is dropped).
 ///
 /// A compiled query is only valid for the snapshot whose label space it
 /// was resolved against, so the cache is owned by the snapshot bundle
@@ -411,8 +401,7 @@ struct CachedCompiled {
 /// bumps the epoch, publishes a fresh snapshot, and thereby starts from an
 /// empty cache — invalidation falls out of the existing epoch machinery.
 pub struct CompiledPlanCache {
-    shards: Box<[Mutex<CompiledShard>]>,
-    shard_capacity: usize,
+    lru: ShardedLru<u64, Arc<CompiledQuery>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -421,8 +410,8 @@ impl std::fmt::Debug for CompiledPlanCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let stats = self.stats();
         f.debug_struct("CompiledPlanCache")
-            .field("shards", &self.shards.len())
-            .field("shard_capacity", &self.shard_capacity)
+            .field("shards", &self.lru.shard_count())
+            .field("shard_capacity", &self.lru.shard_capacity())
             .field("stats", &stats)
             .finish()
     }
@@ -433,19 +422,11 @@ impl CompiledPlanCache {
     /// `capacity` compiled queries in total. Both values are clamped to at
     /// least 1.
     pub fn new(shards: usize, capacity: usize) -> Self {
-        let shards = shards.max(1);
         CompiledPlanCache {
-            shards: (0..shards)
-                .map(|_| Mutex::new(CompiledShard::default()))
-                .collect(),
-            shard_capacity: capacity.div_ceil(shards).max(1),
+            lru: ShardedLru::new(shards, capacity),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
-    }
-
-    fn shard_for(&self, plan_id: u64) -> &Mutex<CompiledShard> {
-        &self.shards[(plan_id % self.shards.len() as u64) as usize]
     }
 
     /// Returns the compiled form of the plan with identity `plan_id`,
@@ -456,49 +437,13 @@ impl CompiledPlanCache {
         plan_id: u64,
         compile: impl FnOnce() -> CompiledQuery,
     ) -> Arc<CompiledQuery> {
-        {
-            let mut shard = self
-                .shard_for(plan_id)
-                .lock()
-                .unwrap_or_else(|poison| poison.into_inner());
-            shard.tick += 1;
-            let tick = shard.tick;
-            if let Some(cached) = shard.map.get_mut(&plan_id) {
-                cached.last_used = tick;
-                let compiled = cached.compiled.clone();
-                drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return compiled;
-            }
+        if let Some(compiled) = self.lru.get(plan_id, &plan_id) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return compiled;
         }
-
         let compiled = Arc::new(compile());
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self
-            .shard_for(plan_id)
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner());
-        shard.tick += 1;
-        let tick = shard.tick;
-        if !shard.map.contains_key(&plan_id) {
-            if shard.map.len() >= self.shard_capacity {
-                if let Some(oldest) = shard
-                    .map
-                    .iter()
-                    .min_by_key(|(_, c)| c.last_used)
-                    .map(|(&k, _)| k)
-                {
-                    shard.map.remove(&oldest);
-                }
-            }
-            shard.map.insert(
-                plan_id,
-                CachedCompiled {
-                    compiled: compiled.clone(),
-                    last_used: tick,
-                },
-            );
-        }
+        self.lru.insert(plan_id, plan_id, compiled.clone());
         compiled
     }
 
@@ -507,16 +452,7 @@ impl CompiledPlanCache {
         CompiledCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| {
-                    s.lock()
-                        .unwrap_or_else(|poison| poison.into_inner())
-                        .map
-                        .len()
-                })
-                .sum(),
+            entries: self.lru.len(),
         }
     }
 }

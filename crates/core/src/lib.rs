@@ -58,6 +58,7 @@ pub mod counter_stacks;
 pub mod estimate;
 pub mod het;
 pub mod kernel;
+pub mod lru;
 pub mod partition;
 pub mod persist;
 pub mod synopsis;
@@ -73,6 +74,7 @@ pub use het::{
     HetBuilder, HyperEdgeTable, PerLevelBudgetStrategy, TopKErrorStrategy,
 };
 pub use kernel::{EdgeLabel, FrozenKernel, Kernel, KernelBuilder, PartialKernel};
+pub use lru::ShardedLru;
 pub use partition::{build_kernel_partitioned, merge_partials, PartitionPlan};
 pub use persist::{decode_snapshot, encode_snapshot, PersistError, SnapshotParts};
 pub use synopsis::{FeedbackReport, SynopsisEstimator, SynopsisSnapshot, XseedSynopsis};

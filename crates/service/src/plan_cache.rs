@@ -2,35 +2,22 @@
 //!
 //! Every estimate request arrives as text; parsing and classifying it
 //! ([`QueryPlan::parse`]) is pure, so the result is cached and shared
-//! across worker threads behind an `Arc`. The cache is sharded by a hash
-//! of the query text: each shard has its own mutex and its own LRU state,
-//! so concurrent lookups of different queries rarely contend on the same
-//! lock. Parsing itself always happens *outside* any lock — a miss costs
-//! one parse and two brief shard acquisitions.
-//!
-//! Recency is tracked with a per-shard logical clock: each hit stamps the
-//! entry, and eviction removes the least-recently-stamped entry of the
-//! full shard (an `O(shard size)` scan, bounded by the per-shard capacity,
-//! which is small by construction).
+//! across worker threads behind an `Arc`. The cache is a thin wrapper over
+//! [`ShardedLru`], sharded by a hash of the query text: each shard has its
+//! own mutex and its own exact LRU order, so concurrent lookups of
+//! different queries rarely contend on the same lock. Parsing itself
+//! always happens *outside* any lock — a miss costs one parse and two
+//! brief shard acquisitions. The text is hashed once per lookup, and a
+//! hit, an insert and an eviction each cost `O(1)` whatever the shard
+//! size, so the shard count only affects lock contention.
 
 use crate::metrics::{Obs, Stage};
-use std::collections::HashMap;
-use std::hash::{DefaultHasher, Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Instant;
 use xpathkit::{ParseError, QueryPlan};
-
-#[derive(Default)]
-struct Shard {
-    map: HashMap<String, CachedPlan>,
-    tick: u64,
-}
-
-struct CachedPlan {
-    plan: Arc<QueryPlan>,
-    last_used: u64,
-}
+use xseed_core::ShardedLru;
 
 /// Counters and occupancy of a [`PlanCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,8 +32,9 @@ pub struct PlanCacheStats {
 
 /// A sharded LRU plan cache. See the module docs.
 pub struct PlanCache {
-    shards: Box<[Mutex<Shard>]>,
-    shard_capacity: usize,
+    /// Keyed by a shared copy of the text, so the node and the map index
+    /// of an entry hold one allocation between them.
+    lru: ShardedLru<Arc<str>, Arc<QueryPlan>>,
     hits: AtomicU64,
     misses: AtomicU64,
     obs: Option<Arc<Obs>>,
@@ -56,11 +44,8 @@ impl PlanCache {
     /// Creates a cache of `shards` independent shards holding about
     /// `capacity` plans in total. Both values are clamped to at least 1.
     pub fn new(shards: usize, capacity: usize) -> Self {
-        let shards = shards.max(1);
-        let shard_capacity = capacity.div_ceil(shards).max(1);
         PlanCache {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_capacity,
+            lru: ShardedLru::new(shards, capacity),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             obs: None,
@@ -73,15 +58,6 @@ impl PlanCache {
     pub fn with_obs(mut self, obs: Option<Arc<Obs>>) -> Self {
         self.obs = obs;
         self
-    }
-
-    fn shard_for(&self, text: &str) -> MutexGuard<'_, Shard> {
-        let mut hasher = DefaultHasher::new();
-        text.hash(&mut hasher);
-        let idx = (hasher.finish() as usize) % self.shards.len();
-        self.shards[idx]
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner())
     }
 
     /// Returns the cached plan for `text`, parsing (and inserting) it on a
@@ -117,17 +93,11 @@ impl PlanCache {
     /// still timed individually into [`Stage::Parse`] — misses leave the
     /// hot path anyway).
     fn lookup(&self, text: &str) -> Result<Arc<QueryPlan>, ParseError> {
-        {
-            let mut shard = self.shard_for(text);
-            shard.tick += 1;
-            let tick = shard.tick;
-            if let Some(cached) = shard.map.get_mut(text) {
-                cached.last_used = tick;
-                let plan = cached.plan.clone();
-                drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(plan);
-            }
+        // One SipHash of the text picks the shard for both acquisitions.
+        let hash = BuildHasherDefault::<DefaultHasher>::default().hash_one(text);
+        if let Some(plan) = self.lru.get(hash, text) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(plan);
         }
 
         // Miss: parse outside the lock, then insert unless another thread
@@ -138,47 +108,16 @@ impl PlanCache {
             obs.record(Stage::Parse, started.elapsed());
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard_for(text);
-        shard.tick += 1;
-        let tick = shard.tick;
-        if !shard.map.contains_key(text) {
-            if shard.map.len() >= self.shard_capacity {
-                if let Some(oldest) = shard
-                    .map
-                    .iter()
-                    .min_by_key(|(_, c)| c.last_used)
-                    .map(|(k, _)| k.clone())
-                {
-                    shard.map.remove(&oldest);
-                }
-            }
-            shard.map.insert(
-                text.to_string(),
-                CachedPlan {
-                    plan: plan.clone(),
-                    last_used: tick,
-                },
-            );
-        }
+        self.lru.insert(hash, Arc::from(text), plan.clone());
         Ok(plan)
     }
 
     /// Current hit/miss counters and occupancy.
     pub fn stats(&self) -> PlanCacheStats {
-        let entries = self
-            .shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(|poison| poison.into_inner())
-                    .map
-                    .len()
-            })
-            .sum();
         PlanCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries,
+            entries: self.lru.len(),
         }
     }
 }
