@@ -39,6 +39,7 @@ use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
+use xseed_bench::report::json_spread_summary;
 use xseed_core::{SynopsisSnapshot, XseedConfig, XseedSynopsis};
 use xseed_service::{execute_batch, PlanCache};
 
@@ -219,19 +220,6 @@ struct Samples {
     compiled_lookups: u64,
 }
 
-/// `{"median": …, "min": …, "max": …, "spread_pct": …}` of `values`,
-/// with the spread as `(max − min) / median`.
-fn summary(values: &[f64]) -> String {
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let median = sorted[sorted.len() / 2];
-    let (min, max) = (sorted[0], sorted[sorted.len() - 1]);
-    format!(
-        "{{\"median\": {median:.1}, \"min\": {min:.1}, \"max\": {max:.1}, \"spread_pct\": {:.1}}}",
-        (max - min) / median * 100.0
-    )
-}
-
 fn share(hits: u64, lookups: u64) -> f64 {
     hits as f64 / lookups.max(1) as f64
 }
@@ -282,11 +270,11 @@ fn main() {
         println!(
             "cache_churn/shards={}: plan_lookup {} ns/query (hit share {:.4}) | execute {} ns/query (compiled hit share {:.4}) | hot lookup {} ns/query (hit share {:.4})",
             lane.shards,
-            summary(&s.lookup_ns),
+            json_spread_summary(&s.lookup_ns),
             share(s.plan_hits, s.plan_lookups),
-            summary(&s.execute_ns),
+            json_spread_summary(&s.execute_ns),
             share(s.compiled_hits, s.compiled_lookups),
-            summary(&s.hot_ns),
+            json_spread_summary(&s.hot_ns),
             share(s.hot_hits, (reps * HOT_PASSES * hot.len()) as u64),
         );
         rows.push(format!(
@@ -297,11 +285,11 @@ fn main() {
             lane.shards,
             CAPACITY / lane.shards,
             batches * BATCH,
-            summary(&s.lookup_ns),
+            json_spread_summary(&s.lookup_ns),
             share(s.plan_hits, s.plan_lookups),
-            summary(&s.execute_ns),
+            json_spread_summary(&s.execute_ns),
             share(s.compiled_hits, s.compiled_lookups),
-            summary(&s.hot_ns),
+            json_spread_summary(&s.hot_ns),
             share(s.hot_hits, (reps * HOT_PASSES * hot.len()) as u64),
         ));
     }

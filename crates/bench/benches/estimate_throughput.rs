@@ -1,23 +1,61 @@
-//! Estimate-throughput bench: one-shot `estimate()` before/after the
-//! streaming rewrite, plus batched estimator reuse.
+//! Estimate-throughput bench: what one estimate costs on each estimation
+//! path, one-shot and batched, on an XMark workload and a recursive
+//! Treebank-style workload.
 //!
-//! The seed's `XseedSynopsis::estimate()` regenerated the full expanded
-//! path tree arena for every call; the streaming path matches the query
-//! directly against a cached frozen-kernel snapshot. This bench measures
-//! estimates/sec for both behaviors on an XMark workload and a recursive
-//! Treebank-style workload, and records the results (and the one-shot
-//! speedup) in `BENCH_estimate_throughput.json` at the workspace root.
+//! Rows, in ns per estimate:
 //!
-//! Set `ESTIMATE_SMOKE=1` to run a single pass per measurement and skip
-//! the JSON write (the CI smoke mode keeping every measured path —
-//! regenerating, streaming, batched, memoized — compiling and exercised).
+//! * `one_shot_regenerate_per_query`: the seed's one-shot behavior,
+//!   regenerating the full expanded path tree arena for every call;
+//! * `one_shot_streaming`: [`XseedSynopsis::estimate`], a fresh cold
+//!   streaming matcher per query (the differential oracle of replay);
+//! * `one_shot_memo`: a fresh [`SynopsisSnapshot::matcher`] per query,
+//!   replaying the snapshot's frontier memo — what a single `EST` runs;
+//! * `batched_materialized`, `batched_streaming`, `batched_streaming_memo`:
+//!   one materialized estimator, one cold streaming matcher, or one
+//!   snapshot matcher reused across the whole workload;
+//! * `fresh_snapshot_first_estimate`: bump the epoch, take the new
+//!   snapshot and run one estimate on it — the first read after a write,
+//!   which pays the snapshot's expansion walk (effective threshold and
+//!   memo) on top of the estimate.
+//!
+//! Every row is measured `REPS` times, interleaved with the other rows;
+//! the JSON reports each row's median, minimum, maximum and spread over
+//! the repetitions, with `cpus_available`. Results are written to
+//! `BENCH_estimate_throughput.json` at the workspace root as `rows`. The
+//! committed file also carries `before_rows`: this bench run at the
+//! commit before single estimates replayed the memo, where
+//! `SynopsisSnapshot::matcher` streamed cold and a fresh snapshot
+//! resolved its threshold by separate counting walks. A rerun writes
+//! `rows` only.
+//!
+//! Every run first asserts that the cold one-shot and the memo one-shot
+//! agree bit for bit on every query, in both modes. Set `ESTIMATE_SMOKE=1`
+//! to run a single pass per measurement and skip the JSON write (the CI
+//! smoke mode keeping every measured path compiling, exercised and
+//! checked).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datagen::{Dataset, WorkloadGenerator, WorkloadSpec};
 use std::time::Instant;
 use xpathkit::ast::PathExpr;
-use xseed_bench::report::json_throughput_entry;
-use xseed_core::{ExpandedPathTree, Matcher, Mode, XseedConfig, XseedSynopsis};
+use xseed_bench::report::json_spread_summary;
+use xseed_core::{
+    ExpandedPathTree, Matcher, Mode, Outcome, StreamingMatcher, XseedConfig, XseedSynopsis,
+};
+
+/// Repetitions of every row.
+const REPS: usize = 11;
+
+/// Row names, in the order [`measure`] returns them.
+const ROWS: [&str; 7] = [
+    "one_shot_regenerate_per_query",
+    "one_shot_streaming",
+    "one_shot_memo",
+    "batched_materialized",
+    "batched_streaming",
+    "batched_streaming_memo",
+    "fresh_snapshot_first_estimate",
+];
 
 struct Scenario {
     name: &'static str,
@@ -56,60 +94,117 @@ fn estimate_regenerating(synopsis: &XseedSynopsis, query: &PathExpr) -> f64 {
     Matcher::new(synopsis.kernel(), &ept, synopsis.het()).estimate(query)
 }
 
+/// The estimate and bound of `outcome`, as bits.
+fn bits(outcome: &Outcome) -> (u64, Option<u64>) {
+    (outcome.estimate.to_bits(), outcome.bound.map(f64::to_bits))
+}
+
+/// Panics unless the cold one-shot and the memo one-shot (a fresh
+/// snapshot matcher, what a single `EST` runs) give bit-identical
+/// estimates and bounds on every query.
+fn assert_memo_matches_cold(scenario: &Scenario) {
+    let snapshot = scenario.synopsis.snapshot();
+    for query in &scenario.queries {
+        for mode in [Mode::Point, Mode::Bound] {
+            let cold = scenario
+                .synopsis
+                .streaming_matcher()
+                .estimate(query, None, mode);
+            let memo = snapshot.matcher().estimate(query, None, mode);
+            assert_eq!(
+                bits(&cold),
+                bits(&memo),
+                "{} {mode:?} {query}: memo one-shot diverged from the cold one-shot",
+                scenario.name
+            );
+        }
+    }
+}
+
 /// `true` when the CI smoke mode is active: one pass per measurement,
 /// no criterion sampling, no JSON write.
 fn smoke() -> bool {
     std::env::var_os("ESTIMATE_SMOKE").is_some()
 }
 
-/// Times `f` run over every query, returning ns per estimate. In smoke
-/// mode a single timed pass follows the warm-up instead of the ~200 ms
+/// Times `f` run over every query, returning ns per estimate: the
+/// median over timed passes of the workload, so a pass hit by an
+/// interrupt or a preempted CPU does not move the result. In smoke mode
+/// a single timed pass follows the warm-up instead of the ~200 ms
 /// sampling loop.
 fn time_per_estimate(queries: &[PathExpr], mut f: impl FnMut(&PathExpr) -> f64) -> f64 {
-    // Warm up once (builds caches), then time enough rounds to cover at
+    // Warm up once (builds caches), then time passes until they cover at
     // least ~200 ms.
     let mut sink = 0.0;
     for q in queries {
         sink += f(q);
     }
-    let single_round = smoke();
-    let mut rounds = 0u32;
+    let mut passes = Vec::new();
     let start = Instant::now();
     loop {
+        let pass = Instant::now();
         for q in queries {
             sink += f(q);
         }
-        rounds += 1;
-        if single_round || (start.elapsed().as_millis() >= 200 && rounds >= 2) {
+        passes.push(pass.elapsed().as_nanos() as f64);
+        if smoke() || (start.elapsed().as_millis() >= 200 && passes.len() >= 3) {
             break;
         }
     }
     std::hint::black_box(sink);
-    start.elapsed().as_nanos() as f64 / (rounds as f64 * queries.len() as f64)
+    passes.sort_by(f64::total_cmp);
+    passes[passes.len() / 2] / queries.len() as f64
 }
 
-#[allow(clippy::type_complexity)]
-fn write_baseline(results: &[(String, usize, f64, f64, f64, f64, f64)]) {
-    let mut body = String::from("{\n  \"bench\": \"estimate_throughput\",\n  \"datasets\": {\n");
-    for (i, (name, queries, regen, streaming, batched_mat, batched_stream, batched_memo)) in
-        results.iter().enumerate()
-    {
+/// One repetition of every row of `scenario`, in [`ROWS`] order.
+/// `fresh` is a copy of the scenario's synopsis whose epoch the
+/// first-estimate row bumps before every query.
+fn measure(scenario: &Scenario, fresh: &mut XseedSynopsis) -> [f64; ROWS.len()] {
+    let s = &scenario.synopsis;
+    let qs = &scenario.queries;
+    let snapshot = s.snapshot();
+    let point = |matcher: &mut StreamingMatcher<'_>, q: &PathExpr| {
+        matcher.estimate(q, None, Mode::Point).estimate
+    };
+    [
+        time_per_estimate(qs, |q| estimate_regenerating(s, q)),
+        time_per_estimate(qs, |q| s.estimate(q)),
+        time_per_estimate(qs, |q| point(&mut snapshot.matcher(), q)),
+        {
+            let estimator = s.estimator();
+            time_per_estimate(qs, |q| estimator.estimate(q))
+        },
+        {
+            let mut matcher = s.streaming_matcher();
+            time_per_estimate(qs, |q| point(&mut matcher, q))
+        },
+        {
+            let mut matcher = snapshot.matcher();
+            time_per_estimate(qs, |q| point(&mut matcher, q))
+        },
+        time_per_estimate(qs, |q| {
+            let next = fresh.epoch() + 1;
+            fresh.advance_epoch(next);
+            point(&mut fresh.snapshot().matcher(), q)
+        }),
+    ]
+}
+
+fn write_baseline(cpus: usize, results: &[(&str, usize, Vec<Vec<f64>>)]) {
+    let mut body = format!(
+        "{{\n  \"bench\": \"estimate_throughput\",\n  \"cpus_available\": {cpus},\n  \
+         \"reps\": {REPS},\n  \"unit\": \"ns_per_estimate\",\n  \"rows\": {{\n"
+    );
+    for (i, (name, queries, samples)) in results.iter().enumerate() {
+        body.push_str(&format!("    \"{name}\": {{\n      \"queries\": {queries}"));
+        for (row, values) in ROWS.iter().zip(samples) {
+            body.push_str(&format!(
+                ",\n      \"{row}\": {}",
+                json_spread_summary(values)
+            ));
+        }
         body.push_str(&format!(
-            "    \"{name}\": {{\n      \"queries\": {queries},\n      \
-             \"one_shot_regenerate_per_query\": {},\n      \
-             \"one_shot_streaming\": {},\n      \
-             \"batched_materialized\": {},\n      \
-             \"batched_streaming\": {},\n      \
-             \"batched_streaming_memo\": {},\n      \
-             \"speedup_one_shot\": {:.2},\n      \
-             \"memo_vs_materialized\": {:.2}\n    }}{}\n",
-            json_throughput_entry(*regen),
-            json_throughput_entry(*streaming),
-            json_throughput_entry(*batched_mat),
-            json_throughput_entry(*batched_stream),
-            json_throughput_entry(*batched_memo),
-            regen / streaming,
-            batched_mat / batched_memo,
+            "\n    }}{}\n",
             if i + 1 == results.len() { "" } else { "," }
         ));
     }
@@ -124,7 +219,9 @@ fn write_baseline(results: &[(String, usize, f64, f64, f64, f64, f64)]) {
 
 fn throughput_benches(c: &mut Criterion) {
     let scenarios = scenarios();
-    let mut results = Vec::new();
+    for scenario in &scenarios {
+        assert_memo_matches_cold(scenario);
+    }
 
     // The criterion sampling adds nothing in smoke mode — the measured
     // passes below already exercise every code path once.
@@ -148,52 +245,38 @@ fn throughput_benches(c: &mut Criterion) {
         group.finish();
     }
 
-    for scenario in &scenarios {
-        let s = &scenario.synopsis;
-        let qs = &scenario.queries;
-        let regen = time_per_estimate(qs, |q| estimate_regenerating(s, q));
-        let streaming = time_per_estimate(qs, |q| s.estimate(q));
-        let batched_mat = {
-            let estimator = s.estimator();
-            time_per_estimate(qs, |q| estimator.estimate(q))
-        };
-        let batched_stream = {
-            let mut matcher = s.streaming_matcher();
-            time_per_estimate(qs, |q| matcher.estimate(q, None, Mode::Point).estimate)
-        };
-        let batched_memo = {
-            let snapshot = s.snapshot();
-            let mut matcher = snapshot.matcher_for_batch(qs.len());
-            time_per_estimate(qs, |q| matcher.estimate(q, None, Mode::Point).estimate)
-        };
+    let reps = if smoke() { 1 } else { REPS };
+    let mut fresh: Vec<XseedSynopsis> = scenarios.iter().map(|s| s.synopsis.clone()).collect();
+    let mut samples = vec![vec![Vec::with_capacity(reps); ROWS.len()]; scenarios.len()];
+    for _ in 0..reps {
+        for ((scenario, fresh), samples) in scenarios.iter().zip(&mut fresh).zip(&mut samples) {
+            for (row, ns) in samples.iter_mut().zip(measure(scenario, fresh)) {
+                row.push(ns);
+            }
+        }
+    }
+    let mut results = Vec::new();
+    for (scenario, samples) in scenarios.iter().zip(samples) {
+        let rows: Vec<String> = ROWS
+            .iter()
+            .zip(&samples)
+            .map(|(row, values)| format!("{row} {}", json_spread_summary(values)))
+            .collect();
         println!(
-            "{}: {} queries | regen {:.0} ns | streaming {:.0} ns ({:.1}x) | \
-             batched materialized {:.0} ns | batched streaming {:.0} ns | \
-             batched streaming+memo {:.0} ns ({:.2}x vs materialized)",
+            "{}: {} queries, ns per estimate over {reps} reps\n  {}",
             scenario.name,
-            qs.len(),
-            regen,
-            streaming,
-            regen / streaming,
-            batched_mat,
-            batched_stream,
-            batched_memo,
-            batched_mat / batched_memo,
+            scenario.queries.len(),
+            rows.join("\n  ")
         );
-        results.push((
-            scenario.name.to_string(),
-            qs.len(),
-            regen,
-            streaming,
-            batched_mat,
-            batched_stream,
-            batched_memo,
-        ));
+        results.push((scenario.name, scenario.queries.len(), samples));
     }
     if smoke() {
         println!("ESTIMATE_SMOKE set: skipping BENCH_estimate_throughput.json write");
     } else {
-        write_baseline(&results);
+        let cpus = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        write_baseline(cpus, &results);
     }
 }
 

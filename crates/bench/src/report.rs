@@ -103,6 +103,20 @@ pub fn json_throughput_entry(ns_per_estimate: f64) -> String {
     )
 }
 
+/// JSON object fragment `{"median": …, "min": …, "max": …, "spread_pct": …}`
+/// summarizing repeated measurements, with the spread as
+/// `(max − min) / median`. `values` must not be empty.
+pub fn json_spread_summary(values: &[f64]) -> String {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let median = sorted[sorted.len() / 2];
+    let (min, max) = (sorted[0], sorted[sorted.len() - 1]);
+    format!(
+        "{{\"median\": {median:.1}, \"min\": {min:.1}, \"max\": {max:.1}, \"spread_pct\": {:.1}}}",
+        (max - min) / median * 100.0
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

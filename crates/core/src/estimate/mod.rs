@@ -13,9 +13,11 @@
 //!   multiplying in aggregated backward selectivities for predicates.
 //! * [`streaming`] — the fused hot path: Algorithm 3 run directly on the
 //!   event stream over a [`crate::kernel::FrozenKernel`] snapshot, with no
-//!   EPT arena and reachability-based subtree pruning. This is what
-//!   [`crate::synopsis::XseedSynopsis::estimate`] uses; the materialized
-//!   [`matcher`] remains the differential-testing oracle.
+//!   EPT arena and reachability-based subtree pruning. Matchers from a
+//!   [`crate::synopsis::SynopsisSnapshot`] replay the snapshot's recorded
+//!   expansion ([`FrontierMemo`]); [`crate::synopsis::XseedSynopsis::estimate`]
+//!   takes the cold streaming pass, the replay's oracle, and the
+//!   materialized [`matcher`] remains the oracle of both.
 
 pub mod ept;
 pub mod event;

@@ -298,7 +298,7 @@ impl MemoNode {
     }
 }
 
-/// A per-batch memo of the traveler's full expansion: every
+/// A per-snapshot memo of the traveler's full expansion: every
 /// `(vertex, recursion level)` position the traversal reaches, with its
 /// computed frontier footprint (card / fsel / bsel / path hash), laid out
 /// in pre-order with subtree extents.
@@ -317,10 +317,14 @@ impl MemoNode {
 /// the kernel epoch changes. The recorded expansion is the full one under
 /// the snapshot's effective cardinality threshold (escalated as needed to
 /// fit [`XseedConfig::max_ept_nodes`]), so it is exactly the frontier the
-/// cold streaming pass and the materialized oracle walk.
+/// cold streaming pass and the materialized oracle walk. The same walk
+/// that records it resolves that threshold, which the memo keeps
+/// ([`FrontierMemo::threshold`]) for the cold pass.
 #[derive(Debug, Clone)]
 pub struct FrontierMemo {
     nodes: Vec<MemoNode>,
+    /// The effective cardinality threshold the expansion was walked under.
+    threshold: f64,
     /// Vertex and slot counts of the snapshot the memo was built from,
     /// used to catch cross-snapshot reuse in debug builds.
     vertex_count: usize,
@@ -328,18 +332,39 @@ pub struct FrontierMemo {
 }
 
 impl FrontierMemo {
-    /// Builds the memo for a snapshot by running the traveler's expansion
-    /// once (no query matching).
+    /// Builds the memo for a snapshot by walking the traveler's expansion
+    /// (no query matching): a walk under the configured `card_threshold`
+    /// that outgrows `max_ept_nodes` is abandoned, the threshold
+    /// escalated and the walk retried, so the walk that fits yields both
+    /// the effective threshold and the recorded expansion.
     pub fn build(
         frozen: &FrozenKernel,
         config: &XseedConfig,
         het: Option<&HyperEdgeTable>,
     ) -> Self {
         // The expansion never consults the name table, so an empty one is
-        // sufficient for the throwaway matcher driving the build.
+        // sufficient for the throwaway matcher driving the walk.
         let names = NameTable::new();
         let mut matcher = StreamingMatcher::new(frozen, &names, config, het);
-        matcher.build_memo_nodes()
+        let cap = config.max_ept_nodes.max(1);
+        let mut threshold = config.card_threshold;
+        let mut nodes = Vec::new();
+        while !matcher.record_expansion(threshold, cap, &mut nodes) {
+            threshold = escalate_card_threshold(threshold);
+        }
+        FrontierMemo {
+            nodes,
+            threshold,
+            vertex_count: frozen.vertex_count(),
+            slot_count: frozen.slot_count(),
+        }
+    }
+
+    /// The snapshot's effective cardinality threshold: the configured
+    /// `card_threshold`, escalated until the full query-independent
+    /// expansion fits within `max_ept_nodes` nodes.
+    pub fn threshold(&self) -> f64 {
+        self.threshold
     }
 
     /// Number of memoized traversal positions (the materialized EPT size).
@@ -483,17 +508,19 @@ pub struct StreamingMatcher<'a> {
     produced: Vec<(u32, f64, u32, u32)>,
     produced_cells: Vec<u32>,
     node_cells: Vec<(u32, u32)>,
-    // Recursion tracking (Figure 3 semantics over flat arrays).
+    // Recursion tracking (Figure 3 semantics over flat arrays). Sized to
+    // the vertex count only by the walks that track recursion (the cold
+    // pass and the memo build); a replaying matcher never allocates it.
     rec_counts: Vec<u32>,
     rec_occ: Vec<u32>,
     rec_max: usize,
     opens: usize,
     /// Cached effective cardinality threshold of the snapshot (the
     /// configured `card_threshold`, escalated until the full expansion
-    /// fits `max_ept_nodes`). Computed lazily on the first cold traversal
-    /// or injected via
-    /// [`StreamingMatcher::set_effective_card_threshold`]; never cleared —
-    /// the snapshot is immutable for the matcher's lifetime.
+    /// fits `max_ept_nodes`). Computed lazily on the first cold traversal,
+    /// or injected via [`StreamingMatcher::set_effective_card_threshold`]
+    /// or with a memo; never cleared — the snapshot is immutable for the
+    /// matcher's lifetime.
     eff_threshold: Option<f64>,
     /// When set, estimates replay the memoized expansion instead of
     /// re-deriving footprints per node (see [`FrontierMemo`]).
@@ -530,7 +557,7 @@ impl<'a> StreamingMatcher<'a> {
             produced: Vec::new(),
             produced_cells: Vec::new(),
             node_cells: Vec::new(),
-            rec_counts: vec![0; frozen.vertex_count()],
+            rec_counts: Vec::new(),
             rec_occ: Vec::new(),
             rec_max: 0,
             opens: 0,
@@ -548,11 +575,12 @@ impl<'a> StreamingMatcher<'a> {
     /// contract** — only the snapshot's vertex and slot counts are
     /// sanity-checked (in debug builds), which cannot catch e.g. a config
     /// or HET that differs over an identically shaped graph. Obtaining
-    /// matchers through [`crate::synopsis::SynopsisSnapshot::matcher_for_batch`]
+    /// matchers through [`crate::synopsis::SynopsisSnapshot::matcher`]
     /// upholds the contract by construction (one bundle owns both).
     pub(crate) fn set_frontier_memo(&mut self, memo: Arc<FrontierMemo>) {
         debug_assert_eq!(memo.vertex_count, self.frozen.vertex_count());
         debug_assert_eq!(memo.slot_count, self.frozen.slot_count());
+        self.eff_threshold = Some(memo.threshold);
         self.memo = Some(memo);
     }
 
@@ -643,15 +671,6 @@ impl<'a> StreamingMatcher<'a> {
         let Some(root) = self.frozen.root() else {
             return (0.0, 0);
         };
-        // The cold pass needs the snapshot's effective threshold; resolve
-        // it before `reset()` because the counting passes dirty the
-        // recursion tracker. Memo replay bakes the thresholded frontier
-        // into the memo nodes and never re-derives footprints.
-        let threshold = if self.memo.is_none() {
-            self.effective_card_threshold()
-        } else {
-            0.0
-        };
         self.reset();
 
         // Seed the root's incoming frontier: spine index 0, factor 1.
@@ -674,6 +693,9 @@ impl<'a> StreamingMatcher<'a> {
         if let Some(memo) = self.memo.clone() {
             self.run_replay(&memo, incoming_start, incoming_end, query);
         } else {
+            // Memo replay bakes the thresholded frontier into the memo
+            // nodes; only the cold pass re-derives footprints under it.
+            let threshold = self.effective_card_threshold();
             self.run_stream(root, incoming_start, incoming_end, query, threshold);
         }
 
@@ -691,6 +713,7 @@ impl<'a> StreamingMatcher<'a> {
         query: &CompiledQuery,
         threshold: f64,
     ) {
+        self.rec_reset();
         let root_fp = Footprint {
             vertex: root,
             card: 1.0,
@@ -745,7 +768,7 @@ impl<'a> StreamingMatcher<'a> {
         }
     }
 
-    /// The batched traversal: replays the memoized expansion, skipping
+    /// The memo traversal: replays the recorded expansion, skipping
     /// footprint arithmetic and recursion tracking entirely. Frame slot
     /// cursors index memo nodes instead of frozen out-slots; advancing a
     /// cursor jumps over the child's whole pre-order extent, so pruning a
@@ -793,20 +816,22 @@ impl<'a> StreamingMatcher<'a> {
         }
     }
 
-    /// Runs the traveler's expansion once, recording every opened node in
-    /// pre-order with its subtree extent — the build step of
-    /// [`FrontierMemo`]. Uses (and then resets) this matcher's recursion
-    /// tracker; no query matching happens here.
-    fn build_memo_nodes(&mut self) -> FrontierMemo {
-        // Resolve the effective threshold before touching the recursion
-        // tracker — the counting passes dirty it.
-        let threshold = self.effective_card_threshold();
-        self.rec_counts.clear();
-        self.rec_counts.resize(self.frozen.vertex_count(), 0);
-        self.rec_occ.clear();
-        self.rec_max = 0;
+    /// Walks the traveler's expansion under `threshold` into `nodes`,
+    /// recording every opened node in pre-order with its subtree extent —
+    /// the walk behind [`FrontierMemo::build`]. Returns `false`, leaving
+    /// `nodes` partial, as soon as the walk opens more than `cap` nodes:
+    /// the escalation loop only needs fits / doesn't-fit, so an abandoned
+    /// walk costs at most `cap + 1` opens (which also bounds walks that
+    /// would otherwise not terminate, e.g. a negative threshold keeping
+    /// cardinality-0 cycles open forever). No query matching happens here.
+    fn record_expansion(&mut self, threshold: f64, cap: usize, nodes: &mut Vec<MemoNode>) -> bool {
+        nodes.clear();
+        let Some(root) = self.frozen.root() else {
+            return true;
+        };
+        self.rec_reset();
 
-        struct BuildFrame {
+        struct WalkFrame {
             node: u32,
             vertex: VertexId,
             fsel: f64,
@@ -815,138 +840,22 @@ impl<'a> StreamingMatcher<'a> {
             end_slot: u32,
         }
 
-        let mut nodes: Vec<MemoNode> = Vec::new();
-        let mut stack: Vec<BuildFrame> = Vec::new();
-        if let Some(root) = self.frozen.root() {
-            let path_hash = inc_hash(PATH_HASH_SEED, self.frozen.label(root));
-            self.rec_push(root);
-            nodes.push(MemoNode {
-                vertex: root,
-                card: 1.0,
-                fsel: 1.0,
-                bsel: 1.0,
-                path_hash,
-                subtree_end: 0,
-            });
-            let slots = self.frozen.out_slots(root);
-            stack.push(BuildFrame {
-                node: 0,
-                vertex: root,
-                fsel: 1.0,
-                path_hash,
-                next_slot: slots.start as u32,
-                end_slot: slots.end as u32,
-            });
-
-            while let Some(top) = stack.last_mut() {
-                if top.next_slot >= top.end_slot {
-                    let done = stack.pop().expect("non-empty stack");
-                    self.rec_pop(done.vertex);
-                    nodes[done.node as usize].subtree_end = nodes.len() as u32;
-                    continue;
-                }
-                let slot = top.next_slot as usize;
-                top.next_slot += 1;
-                let (pv, pf, ph) = (top.vertex, top.fsel, top.path_hash);
-
-                let child = self.frozen.slot_target(slot);
-                let Some(fp) = self.child_footprint(pv, pf, ph, slot, child, threshold) else {
-                    continue;
-                };
-                self.rec_push(child);
-                let node = nodes.len() as u32;
-                nodes.push(MemoNode {
-                    vertex: fp.vertex,
-                    card: fp.card,
-                    fsel: fp.fsel,
-                    bsel: fp.bsel,
-                    path_hash: fp.path_hash,
-                    subtree_end: 0,
-                });
-                let slots = self.frozen.out_slots(fp.vertex);
-                stack.push(BuildFrame {
-                    node,
-                    vertex: fp.vertex,
-                    fsel: fp.fsel,
-                    path_hash: fp.path_hash,
-                    next_slot: slots.start as u32,
-                    end_slot: slots.end as u32,
-                });
-            }
-        }
-
-        FrontierMemo {
-            nodes,
-            vertex_count: self.frozen.vertex_count(),
-            slot_count: self.frozen.slot_count(),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Effective cardinality threshold (max_ept_nodes escalation)
-    // ------------------------------------------------------------------
-
-    /// The snapshot's effective cardinality threshold: the configured
-    /// `card_threshold`, escalated (see
-    /// [`escalate_card_threshold`](crate::config::escalate_card_threshold))
-    /// until the full query-independent expansion fits within
-    /// `max_ept_nodes` nodes. Cached after the first computation — the
-    /// snapshot is immutable for the matcher's lifetime, so the answer
-    /// never changes. Leaves the recursion tracker dirty; callers reset it
-    /// before traversing.
-    pub(crate) fn effective_card_threshold(&mut self) -> f64 {
-        if let Some(t) = self.eff_threshold {
-            return t;
-        }
-        let cap = self.config.max_ept_nodes.max(1);
-        let mut threshold = self.config.card_threshold;
-        while self.count_expansion(threshold, cap) > cap {
-            threshold = escalate_card_threshold(threshold);
-        }
-        self.eff_threshold = Some(threshold);
-        threshold
-    }
-
-    /// Injects a pre-computed effective threshold, letting snapshot owners
-    /// ([`crate::synopsis::SynopsisSnapshot`]) pay the counting passes
-    /// once per snapshot instead of once per matcher. The value must be
-    /// what [`StreamingMatcher::effective_card_threshold`] would compute
-    /// for the same frozen snapshot + config + HET — the same caller's
-    /// contract as [`StreamingMatcher::set_frontier_memo`].
-    pub(crate) fn set_effective_card_threshold(&mut self, threshold: f64) {
-        self.eff_threshold = Some(threshold);
-    }
-
-    /// Counts the opens of the expansion under `threshold`, aborting as
-    /// soon as the count exceeds `cap` — the escalation loop only needs
-    /// fits / doesn't-fit, so each pass costs at most `cap + 1` opens
-    /// (which also bounds the pass on expansions that would otherwise not
-    /// terminate, e.g. a negative threshold keeping cardinality-0 cycles
-    /// open forever). Dirties the recursion tracker.
-    fn count_expansion(&mut self, threshold: f64, cap: usize) -> usize {
-        let Some(root) = self.frozen.root() else {
-            return 0;
-        };
-        self.rec_counts.clear();
-        self.rec_counts.resize(self.frozen.vertex_count(), 0);
-        self.rec_occ.clear();
-        self.rec_max = 0;
-
-        struct CountFrame {
-            vertex: VertexId,
-            fsel: f64,
-            path_hash: u64,
-            next_slot: u32,
-            end_slot: u32,
-        }
-
-        let mut opens = 1usize;
+        let path_hash = inc_hash(PATH_HASH_SEED, self.frozen.label(root));
         self.rec_push(root);
+        nodes.push(MemoNode {
+            vertex: root,
+            card: 1.0,
+            fsel: 1.0,
+            bsel: 1.0,
+            path_hash,
+            subtree_end: 0,
+        });
         let slots = self.frozen.out_slots(root);
-        let mut stack = vec![CountFrame {
+        let mut stack = vec![WalkFrame {
+            node: 0,
             vertex: root,
             fsel: 1.0,
-            path_hash: inc_hash(PATH_HASH_SEED, self.frozen.label(root)),
+            path_hash,
             next_slot: slots.start as u32,
             end_slot: slots.end as u32,
         }];
@@ -954,6 +863,7 @@ impl<'a> StreamingMatcher<'a> {
             if top.next_slot >= top.end_slot {
                 let done = stack.pop().expect("non-empty stack");
                 self.rec_pop(done.vertex);
+                nodes[done.node as usize].subtree_end = nodes.len() as u32;
                 continue;
             }
             let slot = top.next_slot as usize;
@@ -964,13 +874,22 @@ impl<'a> StreamingMatcher<'a> {
             let Some(fp) = self.child_footprint(pv, pf, ph, slot, child, threshold) else {
                 continue;
             };
-            opens += 1;
-            if opens > cap {
-                return opens;
+            if nodes.len() == cap {
+                return false;
             }
             self.rec_push(child);
+            let node = nodes.len() as u32;
+            nodes.push(MemoNode {
+                vertex: fp.vertex,
+                card: fp.card,
+                fsel: fp.fsel,
+                bsel: fp.bsel,
+                path_hash: fp.path_hash,
+                subtree_end: 0,
+            });
             let slots = self.frozen.out_slots(fp.vertex);
-            stack.push(CountFrame {
+            stack.push(WalkFrame {
+                node,
                 vertex: fp.vertex,
                 fsel: fp.fsel,
                 path_hash: fp.path_hash,
@@ -978,7 +897,32 @@ impl<'a> StreamingMatcher<'a> {
                 end_slot: slots.end as u32,
             });
         }
-        opens
+        true
+    }
+
+    // ------------------------------------------------------------------
+    // Effective cardinality threshold (max_ept_nodes escalation)
+    // ------------------------------------------------------------------
+
+    /// The snapshot's effective cardinality threshold (see
+    /// [`FrontierMemo::threshold`]). Cached after the first computation,
+    /// which walks the expansion as [`FrontierMemo::build`] does — the
+    /// snapshot is immutable for the matcher's lifetime, so the answer
+    /// never changes.
+    pub(crate) fn effective_card_threshold(&mut self) -> f64 {
+        *self.eff_threshold.get_or_insert_with(|| {
+            FrontierMemo::build(self.frozen, self.config, self.het).threshold
+        })
+    }
+
+    /// Injects a pre-computed effective threshold, letting snapshot owners
+    /// ([`crate::synopsis::SynopsisSnapshot`]) pay the expansion walk
+    /// once per snapshot instead of once per matcher. The value must be
+    /// what [`StreamingMatcher::effective_card_threshold`] would compute
+    /// for the same frozen snapshot + config + HET — the same caller's
+    /// contract as [`StreamingMatcher::set_frontier_memo`].
+    pub(crate) fn set_effective_card_threshold(&mut self, threshold: f64) {
+        self.eff_threshold = Some(threshold);
     }
 
     // ------------------------------------------------------------------
@@ -1118,11 +1062,16 @@ impl<'a> StreamingMatcher<'a> {
         self.contribs.clear();
         self.contrib_cands.clear();
         self.contrib_cells.clear();
+        self.opens = 0;
+    }
+
+    /// Zeroes the recursion tracker (sizing it on first use) before a walk
+    /// that tracks recursion levels.
+    fn rec_reset(&mut self) {
         self.rec_counts.clear();
         self.rec_counts.resize(self.frozen.vertex_count(), 0);
         self.rec_occ.clear();
         self.rec_max = 0;
-        self.opens = 0;
     }
 
     #[inline]
@@ -1786,6 +1735,9 @@ impl<'a> StreamingMatcher<'a> {
             .fold(0u64, |acc, &(b, _)| acc.saturating_add(b))
     }
 }
+
+#[cfg(test)]
+mod replay_differential;
 
 #[cfg(test)]
 mod tests {

@@ -28,12 +28,15 @@
 //! its compiled form through the snapshot's cache; pass `None` to compile
 //! the expression afresh.
 //!
-//! Matchers come from a published [`SynopsisSnapshot`]. Its
-//! [`SynopsisSnapshot::matcher_for_batch`] is the one place that chooses
-//! the traversal: the cold streaming pass for a single query, and replay
-//! of the shared [`FrontierMemo`] for a batch. Two one-line shorthands
-//! cover the common point query: [`XseedSynopsis::estimate`] for an
-//! expression and [`SynopsisSnapshot::estimate_plan`] for a cached plan.
+//! Matchers come from a published [`SynopsisSnapshot`]. Every
+//! [`SynopsisSnapshot::matcher`] replays the snapshot's shared
+//! [`FrontierMemo`], single queries and batches alike: the first read on
+//! a snapshot walks the expansion once, resolving the effective threshold
+//! and recording the memo, and every later estimate replays it. Two
+//! one-line shorthands cover the common point query:
+//! [`XseedSynopsis::estimate`] for an expression (the cold streaming
+//! pass, kept as the replay's differential oracle) and
+//! [`SynopsisSnapshot::estimate_plan`] for a cached plan.
 //!
 //! ## Quick example
 //!

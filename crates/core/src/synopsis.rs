@@ -327,7 +327,6 @@ impl XseedSynopsis {
                     het: self.het.clone(),
                     memo: OnceLock::new(),
                     compiled: OnceLock::new(),
-                    eff_threshold: OnceLock::new(),
                 }),
             })
             .clone()
@@ -373,10 +372,10 @@ impl XseedSynopsis {
             &self.config,
             self.het.as_deref(),
         );
-        // The snapshot bundle caches the effective threshold; sharing it
-        // here means one-shot estimates skip the escalation counting
-        // passes too.
-        matcher.set_effective_card_threshold(self.snapshot().effective_card_threshold());
+        // The snapshot bundle's expansion walk resolves the effective
+        // threshold once; sharing it here means one-shot cold estimates
+        // skip the escalation walks too.
+        matcher.set_effective_card_threshold(self.snapshot().frontier_memo().threshold());
         matcher
     }
 
@@ -567,8 +566,10 @@ struct SnapshotInner {
     names: NameTable,
     config: XseedConfig,
     het: Option<Arc<HyperEdgeTable>>,
-    /// Built on first batched estimate, then shared by every worker
-    /// estimating from this snapshot.
+    /// The snapshot's expansion: one walk on the first read resolves the
+    /// effective cardinality threshold (the configured `card_threshold`,
+    /// escalated until the expansion fits `max_ept_nodes`) and records the
+    /// frontier memo every matcher handed out replays.
     memo: OnceLock<Arc<FrontierMemo>>,
     /// Per-snapshot compiled-query cache (plan id → label-resolved
     /// [`crate::estimate::streaming::CompiledQuery`]), created on first
@@ -577,12 +578,6 @@ struct SnapshotInner {
     /// stale compilations can never outlive the label space they were
     /// resolved against.
     compiled: OnceLock<Arc<CompiledPlanCache>>,
-    /// The snapshot's effective cardinality threshold (the configured
-    /// `card_threshold`, escalated until the expansion fits
-    /// `max_ept_nodes`). Resolved once per snapshot and injected into
-    /// every matcher handed out, so the per-query cold path never pays
-    /// the counting passes itself.
-    eff_threshold: OnceLock<f64>,
 }
 
 impl SynopsisSnapshot {
@@ -612,30 +607,21 @@ impl SynopsisSnapshot {
     }
 
     /// A streaming matcher over this snapshot, with the snapshot's shared
-    /// compiled-query cache installed (so plan-keyed
+    /// compiled-query cache and frontier memo installed: plan-keyed
     /// [`StreamingMatcher::estimate`] calls reuse label-resolved
-    /// compilations across all matchers of this snapshot). Each worker
+    /// compilations across all matchers of this snapshot, and every
+    /// estimate, single or batched, point or bound, replays the expansion
+    /// the snapshot recorded once instead of re-deriving it. Replay walks
+    /// the same frontier as the cold streaming pass
+    /// ([`XseedSynopsis::streaming_matcher`]), so it changes speed only. Each worker
     /// thread should hold its own matcher (scratch buffers are
     /// per-matcher); the underlying snapshot data is shared.
     pub fn matcher(&self) -> StreamingMatcher<'_> {
         let mut matcher =
             StreamingMatcher::new(self.frozen(), self.names(), self.config(), self.het());
         matcher.set_compiled_cache(self.compiled_cache().clone());
-        matcher.set_effective_card_threshold(self.effective_card_threshold());
+        matcher.set_frontier_memo(self.frontier_memo().clone());
         matcher
-    }
-
-    /// The snapshot's effective cardinality threshold: the configured
-    /// `card_threshold`, escalated until the traveler's expansion fits
-    /// within `max_ept_nodes` nodes (see
-    /// [`crate::config::XseedConfig::max_ept_nodes`]). Resolved by
-    /// query-independent counting passes on first use and cached for the
-    /// snapshot's lifetime.
-    pub(crate) fn effective_card_threshold(&self) -> f64 {
-        *self.inner.eff_threshold.get_or_init(|| {
-            StreamingMatcher::new(self.frozen(), self.names(), self.config(), self.het())
-                .effective_card_threshold()
-        })
     }
 
     /// Counters of the compiled-query cache **without forcing its
@@ -661,24 +647,9 @@ impl SynopsisSnapshot {
         })
     }
 
-    /// The matcher a batch of `batch_len` queries should use — the single
-    /// home of the memo-activation policy: memoized replay for real
-    /// batches, the cold streaming pass for 0/1 queries. Singles stay
-    /// cold even when a memo already exists because a lone query is
-    /// cheaper without the replay setup; the choice is purely a
-    /// performance knob, since both paths walk the same frontier (the
-    /// expansion is a deterministic function of the snapshot + config +
-    /// HET, threshold escalation included).
-    pub fn matcher_for_batch(&self, batch_len: usize) -> StreamingMatcher<'_> {
-        let mut matcher = self.matcher();
-        if batch_len > 1 {
-            matcher.set_frontier_memo(self.frontier_memo().clone());
-        }
-        matcher
-    }
-
-    /// The shared frontier memo (the traveler's expansion recorded once),
-    /// built on first use.
+    /// The shared frontier memo (the traveler's expansion recorded once,
+    /// with the effective threshold it was walked under), built on first
+    /// use — by the first estimate on this snapshot, typically.
     pub fn frontier_memo(&self) -> &Arc<FrontierMemo> {
         self.inner.memo.get_or_init(|| {
             Arc::new(FrontierMemo::build(
@@ -692,7 +663,7 @@ impl SynopsisSnapshot {
     /// Estimates one cached plan through the snapshot's compiled-query
     /// cache: a repeat of the same [`xpathkit::QueryPlan`] (same identity)
     /// skips recompilation entirely. One-shot matcher; for many plans, or
-    /// for bound mode, ask a [`SynopsisSnapshot::matcher_for_batch`].
+    /// for bound mode, ask a [`SynopsisSnapshot::matcher`].
     pub fn estimate_plan(&self, plan: &xpathkit::QueryPlan) -> f64 {
         self.matcher()
             .estimate(plan.expr(), Some(plan.id()), Mode::Point)
@@ -1087,7 +1058,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_matcher_matches_estimate() {
+    fn snapshot_matcher_matches_estimate() {
         let doc = figure2_document();
         let synopsis = XseedSynopsis::build(&doc, XseedConfig::default());
         let queries: Vec<_> = ["/a/c/s", "//s//p", "/a/c/s[t]/p", "/a/*", "//*"]
@@ -1095,14 +1066,14 @@ mod tests {
             .map(|q| parse(q).unwrap())
             .collect();
         let snap = synopsis.snapshot();
-        let mut batch = snap.matcher_for_batch(queries.len());
+        let mut replay = snap.matcher();
         for expr in &queries {
-            let got = batch.estimate(expr, None, Mode::Point).estimate;
+            let got = replay.estimate(expr, None, Mode::Point).estimate;
             assert!((synopsis.estimate(expr) - got).abs() < 1e-9);
         }
-        // The snapshot's frontier memo is cached across batch matchers.
+        // The snapshot's frontier memo is cached across matchers.
         let memo = snap.frontier_memo().clone();
-        let _ = snap.matcher_for_batch(queries.len());
+        let _ = snap.matcher();
         assert!(Arc::ptr_eq(&memo, snap.frontier_memo()));
     }
 

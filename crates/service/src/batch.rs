@@ -1,11 +1,13 @@
 //! The batch executor: many queries, one snapshot pass.
 //!
-//! A batch is estimated by a single [`xseed_core::StreamingMatcher`] with the
-//! snapshot's shared [`xseed_core::FrontierMemo`] installed: the
-//! traveler's expansion is recorded once per snapshot epoch and each query
-//! replays it, skipping the per-node footprint arithmetic and recursion
-//! tracking of the cold pass. The matcher's scratch buffers stay warm
-//! across the whole batch. Batches homogeneous in query class get the
+//! A batch is estimated by a single [`xseed_core::StreamingMatcher`] from
+//! [`SynopsisSnapshot::matcher`], which has the snapshot's shared
+//! [`xseed_core::FrontierMemo`] installed: the traveler's expansion is
+//! recorded once per snapshot epoch and each query replays it, skipping
+//! the per-node footprint arithmetic and recursion tracking of the cold
+//! pass. A single `EST` is a batch of one and replays the same memo; a
+//! longer batch adds only that the matcher's scratch buffers stay warm
+//! across it. Batches homogeneous in query class get the
 //! best locality (simple paths may even short-circuit through the HET),
 //! but heterogeneity only costs the reuse, never correctness.
 //!
@@ -44,20 +46,15 @@ pub struct FeedbackItem {
 }
 
 /// Estimates every plan of `batch` over one snapshot pass, returning the
-/// estimates in input order. Matcher selection (memoized replay vs cold
-/// pass) is the snapshot's policy — [`SynopsisSnapshot::matcher_for_batch`]
-/// — decided by `policy_len`: the length of the whole *logical* batch,
-/// which exceeds `batch.len()` when a service batch was chunked across
-/// workers. Deciding on the logical length keeps every chunk of one
-/// batch on the same matcher kind, so the memo build cost is paid (or
-/// skipped) coherently for the whole logical batch; the memoized and
-/// cold frontiers themselves are always identical.
+/// estimates in input order. Every plan replays the snapshot's frontier
+/// memo, whatever the batch length. `_policy_len` is ignored; it stays
+/// only so existing callers keep compiling.
 pub fn execute_batch(
     snapshot: &SynopsisSnapshot,
     batch: &[Arc<QueryPlan>],
-    policy_len: usize,
+    _policy_len: usize,
 ) -> Vec<f64> {
-    execute_batch_observed(snapshot, batch, policy_len, Mode::Point, &None)
+    execute_batch_observed(snapshot, batch, Mode::Point, &None)
         .iter()
         .map(|outcome| outcome.estimate)
         .collect()
@@ -76,11 +73,10 @@ pub fn execute_batch(
 pub(crate) fn execute_batch_observed(
     snapshot: &SynopsisSnapshot,
     batch: &[Arc<QueryPlan>],
-    policy_len: usize,
     mode: Mode,
     obs: &Option<Arc<Obs>>,
 ) -> Vec<Outcome> {
-    let mut matcher = snapshot.matcher_for_batch(policy_len.max(batch.len()));
+    let mut matcher = snapshot.matcher();
     let mut estimate = |plan: &QueryPlan| matcher.estimate(plan.expr(), Some(plan.id()), mode);
     let Some(obs) = obs else {
         return batch.iter().map(|plan| estimate(plan)).collect();

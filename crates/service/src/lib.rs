@@ -20,10 +20,10 @@
 //!   parsed-and-classified [`xpathkit::QueryPlan`]s, so repeated queries
 //!   skip the parser across all worker threads without a global lock.
 //! * [`batch`] — the batch executor, [`execute_batch`]: one matcher per
-//!   batch from [`xseed_core::SynopsisSnapshot::matcher_for_batch`], which
-//!   replays the snapshot's shared frontier memo (the traveler's expansion
-//!   recorded once per epoch) for batches and takes the cold streaming
-//!   pass for single queries. Each plan is one plan-keyed
+//!   chunk from [`xseed_core::SynopsisSnapshot::matcher`], which replays
+//!   the snapshot's shared frontier memo (the traveler's expansion
+//!   recorded once per epoch) for single queries and batches alike. Each
+//!   plan is one plan-keyed
 //!   [`xseed_core::StreamingMatcher::estimate`] call; `EST … mode=bound`
 //!   ([`Service::estimate_bound`]) runs the same executor with
 //!   [`xseed_core::Mode::Bound`].

@@ -191,9 +191,6 @@ impl Default for ServiceConfig {
 struct Job {
     snapshot: SynopsisSnapshot,
     plans: Vec<Arc<QueryPlan>>,
-    /// Length of the whole logical batch this job is a chunk of; drives
-    /// the memo policy uniformly across all chunks (see [`Shared::run_chunk`]).
-    batch_len: usize,
     mode: Mode,
     chunk: usize,
     reply: mpsc::Sender<(usize, Result<Vec<Outcome>, ServiceError>)>,
@@ -356,20 +353,20 @@ impl Shared {
 
     /// Runs one chunk, on the calling thread or a worker, and does its
     /// accounting: [`execute_batch_observed`]'s stage samples, a
-    /// [`Stage::BatchChunk`] sample for a multi-query batch, `batches`,
-    /// and `executed` for `slot` (the queue whose budget it reserved) —
-    /// also when the chunk panicked, so `accepted` and `executed` balance.
+    /// [`Stage::BatchChunk`] sample when the chunk belongs to a
+    /// `multi_query` request, `batches`, and `executed` for `slot` (the
+    /// queue whose budget it reserved) — also when the chunk panicked, so
+    /// `accepted` and `executed` balance.
     fn run_chunk(
         &self,
         slot: usize,
         snapshot: &SynopsisSnapshot,
         plans: &[Arc<QueryPlan>],
-        batch_len: usize,
+        multi_query: bool,
         mode: Mode,
     ) -> Result<Vec<Outcome>, ServiceError> {
-        let chunk_started = (batch_len > 1 && self.obs.is_some()).then(Instant::now);
-        let outcomes =
-            catch_panic(|| execute_batch_observed(snapshot, plans, batch_len, mode, &self.obs));
+        let chunk_started = (multi_query && self.obs.is_some()).then(Instant::now);
+        let outcomes = catch_panic(|| execute_batch_observed(snapshot, plans, mode, &self.obs));
         if let (Some(obs), Some(started)) = (&self.obs, chunk_started) {
             obs.record(Stage::BatchChunk, started.elapsed());
         }
@@ -523,12 +520,12 @@ fn worker_loop(shared: Arc<Shared>, id: usize) {
             Some(Work::Estimate(Job {
                 snapshot,
                 plans,
-                batch_len,
                 mode,
                 chunk,
                 reply,
             })) => {
-                let outcomes = shared.run_chunk(id, &snapshot, &plans, batch_len, mode);
+                // Only requests of several chunks reach the pool.
+                let outcomes = shared.run_chunk(id, &snapshot, &plans, true, mode);
                 // A dropped receiver just means the caller gave up waiting.
                 let _ = reply.send((chunk, outcomes));
                 continue;
@@ -1149,7 +1146,7 @@ impl Service {
             let queue = self.admit_inline(plans.len())?;
             let outcomes = self
                 .shared
-                .run_chunk(queue, snapshot, plans, plans.len(), mode);
+                .run_chunk(queue, snapshot, plans, plans.len() > 1, mode);
             self.shared.release(queue, plans.len());
             return outcomes;
         }
@@ -1179,7 +1176,6 @@ impl Service {
                 Work::Estimate(Job {
                     snapshot: snapshot.clone(),
                     plans: chunk.to_vec(),
-                    batch_len: plans.len(),
                     mode,
                     chunk: i,
                     reply: tx.clone(),

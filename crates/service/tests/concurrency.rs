@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use std::thread;
 use xpathkit::PathExpr;
-use xseed_core::{Mode, SynopsisSnapshot, XseedConfig, XseedSynopsis};
+use xseed_core::{Mode, StreamingMatcher, SynopsisSnapshot, XseedConfig, XseedSynopsis};
 use xseed_service::{Catalog, PlanCache, Service, ServiceConfig};
 
 use datagen::{Dataset, WorkloadGenerator, WorkloadSpec};
@@ -36,7 +36,7 @@ fn assert_threads_bit_identical(dataset: Dataset, scale: f64) {
     let (synopsis, queries) = scenario(dataset, scale);
     let snapshot: SynopsisSnapshot = synopsis.snapshot();
 
-    // Single-threaded reference over the same snapshot (cold matcher).
+    // Single-threaded reference over the same snapshot (memo replay).
     let reference: Vec<u64> = {
         let mut matcher = snapshot.matcher();
         queries
@@ -52,12 +52,18 @@ fn assert_threads_bit_identical(dataset: Dataset, scale: f64) {
                 let snapshot = snapshot.clone();
                 let queries = queries.clone();
                 scope.spawn(move || {
-                    // Half the threads use the shared-memo batch path, half
-                    // the cold streaming path — both must agree bit-exactly.
+                    // Half the threads replay the shared memo, half take
+                    // the cold streaming path of a bare matcher — both
+                    // must agree bit-exactly.
                     let mut matcher = if i % 2 == 0 {
-                        snapshot.matcher_for_batch(queries.len())
-                    } else {
                         snapshot.matcher()
+                    } else {
+                        StreamingMatcher::new(
+                            snapshot.frozen(),
+                            snapshot.names(),
+                            snapshot.config(),
+                            snapshot.het(),
+                        )
                     };
                     queries
                         .iter()
@@ -341,7 +347,7 @@ mod compiled_cache_properties {
             // Fresh compilation on the *current* snapshot, no caches.
             let snapshot = catalog.snapshot("doc").unwrap();
             let expr = xpathkit::parse(text).unwrap();
-            let fresh = xseed_core::StreamingMatcher::new(
+            let fresh = StreamingMatcher::new(
                 snapshot.frozen(),
                 snapshot.names(),
                 snapshot.config(),

@@ -30,12 +30,12 @@ fn xmark_catalog() -> (Arc<Catalog>, Vec<String>) {
     (catalog, texts)
 }
 
-/// Single-threaded reference bits for every text, from the matcher a
-/// request of `batch_len` queries runs (cold stream for one query, memo
-/// replay for more).
-fn reference(catalog: &Catalog, texts: &[String], batch_len: usize) -> Vec<u64> {
+/// Single-threaded reference bits for every text, from the snapshot
+/// matcher every request runs (memo replay, single queries and batches
+/// alike).
+fn reference(catalog: &Catalog, texts: &[String]) -> Vec<u64> {
     let snapshot = catalog.snapshot("xmark").unwrap();
-    let mut matcher = snapshot.matcher_for_batch(batch_len);
+    let mut matcher = snapshot.matcher();
     texts
         .iter()
         .map(|t| {
@@ -58,8 +58,7 @@ fn fenced_flood_sheds_exactly_the_overflow_and_preserves_estimates() {
     const HELD: usize = 2 * CAPACITY;
     const FLOOD: usize = 100;
     let (catalog, texts) = xmark_catalog();
-    let batch_reference = reference(&catalog, &texts[..HELD], HELD);
-    let single_reference = reference(&catalog, &texts[..1], 1);
+    let expected = reference(&catalog, &texts[..HELD]);
     let service = Service::new(
         catalog,
         ServiceConfig::with_workers(2).with_queue_capacity(CAPACITY),
@@ -97,14 +96,14 @@ fn fenced_flood_sheds_exactly_the_overflow_and_preserves_estimates() {
         batch.join().unwrap().unwrap()
     });
     let held_bits: Vec<u64> = held_estimates.iter().map(|e| e.to_bits()).collect();
-    assert_eq!(held_bits, batch_reference, "held batch diverged");
+    assert_eq!(held_bits, expected, "held batch diverged");
     let stats = service.stats();
     assert_eq!(stats.queued, 0);
     assert_eq!(stats.total_executed(), HELD as u64);
     // The drained budget admits single estimates again, bit-exact.
     assert_eq!(
         service.estimate("xmark", &texts[0]).unwrap().to_bits(),
-        single_reference[0]
+        expected[0]
     );
 }
 
@@ -119,8 +118,7 @@ fn concurrent_flood_stays_bounded_and_bit_exact() {
     const CLIENTS: usize = 4;
     const PER_CLIENT: usize = 200;
     let (catalog, texts) = xmark_catalog();
-    let single_reference = reference(&catalog, &texts, 1);
-    let batch_reference = reference(&catalog, &texts, BATCH);
+    let expected = reference(&catalog, &texts);
     let service = Service::new(
         catalog,
         ServiceConfig::with_workers(2).with_queue_capacity(CAPACITY),
@@ -131,7 +129,7 @@ fn concurrent_flood_stays_bounded_and_bit_exact() {
             .map(|c| {
                 let service = &service;
                 let texts = &texts;
-                let (single_reference, batch_reference) = (&single_reference, &batch_reference);
+                let expected = &expected;
                 scope.spawn(move || {
                     let (mut offered, mut admitted) = (0usize, 0usize);
                     for i in 0..PER_CLIENT {
@@ -151,13 +149,8 @@ fn concurrent_flood_stays_bounded_and_bit_exact() {
                         match result {
                             Ok(estimates) => {
                                 admitted += len;
-                                let reference = if len == 1 {
-                                    single_reference
-                                } else {
-                                    batch_reference
-                                };
                                 for (&q, est) in qis.iter().zip(estimates) {
-                                    assert_eq!(est.to_bits(), reference[q], "{}", texts[q]);
+                                    assert_eq!(est.to_bits(), expected[q], "{}", texts[q]);
                                 }
                             }
                             Err(ServiceError::Overloaded { queued, capacity }) => {
